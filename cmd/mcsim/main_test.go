@@ -262,10 +262,10 @@ func TestRunnerDispatchesEveryKind(t *testing.T) {
 }
 
 func TestFailureModelSelection(t *testing.T) {
-	// The deprecated legacy shorthands still select the model: groupMean 1
-	// is the independent regime, groupMean > 1 the correlated one.
+	// Single-unit groups are the independent regime; a group-size
+	// distribution plus a rack bias the correlated one.
 	cfg := ScenarioConfig{}
-	cfg.Failures = &scenario.FailuresJSON{MTBFSeconds: 3600, GroupMean: 1}
+	cfg.Failures = &scenario.FailuresJSON{MTBF: &scenario.DistJSON{Mean: 3600}}
 	sc, err := BuildScenario(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +280,9 @@ func TestFailureModelSelection(t *testing.T) {
 	if ov.Model.SameRackBias != 0 {
 		t.Errorf("independent regime has rack bias %v", ov.Model.SameRackBias)
 	}
-	cfg.Failures.GroupMean = 8 // correlated
+	bias := 0.8
+	cfg.Failures.GroupSize = &scenario.DistJSON{Dist: "normal", Mean: 8, Sigma: 4}
+	cfg.Failures.RackBias = &bias
 	sc2, err := BuildScenario(cfg)
 	if err != nil {
 		t.Fatal(err)

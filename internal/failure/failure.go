@@ -46,13 +46,13 @@ type Model struct {
 // "which field, in which section" instead of a bare complaint.
 func (m *Model) Validate() error {
 	if m.MTBFSeconds == nil {
-		return fmt.Errorf("failure: model missing the MTBF distribution (field mtbf / mtbfSeconds)")
+		return fmt.Errorf("failure: model missing the MTBF distribution (field mtbf)")
 	}
 	if m.RepairSeconds == nil {
-		return fmt.Errorf("failure: model missing the repair distribution (field repair / repairSeconds)")
+		return fmt.Errorf("failure: model missing the repair distribution (field repair)")
 	}
 	if m.GroupSize == nil {
-		return fmt.Errorf("failure: model missing the group-size distribution (field groupSize / groupMean)")
+		return fmt.Errorf("failure: model missing the group-size distribution (field groupSize)")
 	}
 	if m.SameRackBias < 0 || m.SameRackBias > 1 {
 		return fmt.Errorf("failure: rack bias %v out of [0,1] (field rackBias)", m.SameRackBias)
@@ -71,21 +71,21 @@ func IndependentModel(mtbf, repair time.Duration) *Model {
 }
 
 // CorrelatedModel returns a model with the same expected machine-downtime
-// budget as IndependentModel(mtbf/groupMean, repair) but with Weibull
-// (shape<1, bursty) arrivals and group failures of mean size groupMean —
+// budget as IndependentModel(mtbf/meanGroup, repair) but with Weibull
+// (shape<1, bursty) arrivals and group failures of mean size meanGroup —
 // i.e. equal raw failure mass, correlated in time and space.
-func CorrelatedModel(mtbf, repair time.Duration, groupMean float64) *Model {
+func CorrelatedModel(mtbf, repair time.Duration, meanGroup float64) *Model {
 	// Mean of Weibull(k, λ) is λ·Γ(1+1/k); solve λ for the target mean.
-	// Events arrive groupMean× less often so machine-failures/hour match
+	// Events arrive meanGroup× less often so machine-failures/hour match
 	// the independent baseline.
 	const shape = 0.6
-	targetMean := mtbf.Seconds() * groupMean
+	targetMean := mtbf.Seconds() * meanGroup
 	w := stats.Weibull{K: shape, Lambda: 1}
 	lambda := targetMean / w.Mean()
 	return &Model{
 		MTBFSeconds:   stats.Weibull{K: shape, Lambda: lambda},
 		RepairSeconds: stats.Exponential{Rate: 1 / repair.Seconds()},
-		GroupSize:     stats.Truncate{D: stats.Normal{Mu: groupMean, Sigma: groupMean / 2}, Lo: 1, Hi: 4 * groupMean},
+		GroupSize:     stats.Truncate{D: stats.Normal{Mu: meanGroup, Sigma: meanGroup / 2}, Lo: 1, Hi: 4 * meanGroup},
 		SameRackBias:  0.8,
 	}
 }

@@ -31,7 +31,13 @@ var quickConfigs = map[string]string{
 		"machines": 8, "rackSize": 4,
 		"workload": {"jobs": 60, "pattern": "bursty", "shape": "bag"},
 		"scheduler": {"queue": "sjf", "placement": "bestfit", "mode": "easy"},
-		"failures": {"enabled": true, "mtbfSeconds": 3600, "repairSeconds": 600, "groupMean": 4},
+		"failures": {
+			"enabled": true,
+			"mtbf": {"dist": "exponential", "mean": 3600},
+			"repair": {"dist": "exponential", "mean": 600},
+			"groupSize": {"dist": "normal", "mean": 4, "sigma": 2},
+			"rackBias": 0.8
+		},
 		"horizonSeconds": 14400, "seed": 1
 	}`,
 	"faas": `{

@@ -146,13 +146,6 @@ type FailuresJSON struct {
 	// cluster-backed kinds ignore it.
 	Machines int     `json:"machines"`
 	SLO      SLOJSON `json:"slo"`
-
-	// Deprecated legacy shorthands (the pre-envelope datacenter block):
-	// exponential MTBF/repair with the given means; groupMean > 1 selects
-	// the correlated model of internal/failure. See DESIGN.md release note.
-	MTBFSeconds   float64 `json:"mtbfSeconds"`
-	RepairSeconds float64 `json:"repairSeconds"`
-	GroupMean     float64 `json:"groupMean"`
 }
 
 // On reports whether the section requests injection.
@@ -189,34 +182,19 @@ func (c Common) FailureOverlay() (*FailureOverlay, error) {
 		if m.MTBFSeconds, err = cfg.MTBF.build("/failures/mtbf"); err != nil {
 			return nil, err
 		}
-	} else if cfg.MTBFSeconds > 0 {
-		m.MTBFSeconds = stats.Exponential{Rate: 1 / cfg.MTBFSeconds}
 	}
 	if cfg.Repair != nil {
 		if m.RepairSeconds, err = cfg.Repair.build("/failures/repair"); err != nil {
 			return nil, err
 		}
 	} else {
-		repair := cfg.RepairSeconds
-		if repair <= 0 {
-			repair = 600 // the legacy block's 10-minute default
-		}
-		m.RepairSeconds = stats.Exponential{Rate: 1 / repair}
+		m.RepairSeconds = stats.Exponential{Rate: 1.0 / 600} // 10-minute mean
 	}
-	switch {
-	case cfg.GroupSize != nil:
+	if cfg.GroupSize != nil {
 		if m.GroupSize, err = cfg.GroupSize.build("/failures/groupSize"); err != nil {
 			return nil, err
 		}
-	case cfg.GroupMean > 1:
-		// The legacy correlated regime: truncated-normal group sizes around
-		// the mean, same-rack bias 0.8 unless overridden below.
-		m.GroupSize = stats.Truncate{
-			D:  stats.Normal{Mu: cfg.GroupMean, Sigma: cfg.GroupMean / 2},
-			Lo: 1, Hi: 4 * cfg.GroupMean,
-		}
-		m.SameRackBias = 0.8
-	default:
+	} else {
 		m.GroupSize = stats.Deterministic{Value: 1}
 	}
 	if cfg.RackBias != nil {

@@ -60,10 +60,6 @@ func runDocBytes(t *testing.T, doc string) []byte {
 // and compares result bytes against the golden output of the pre-PR binary.
 // This is the acceptance bar of the envelope redesign: promoting the header
 // into scenario.Common must not move a single byte for existing documents.
-// The datacenter capture is the one exception — its document carries the
-// legacy failures block, whose timeline moved from the kernel RNG to a
-// document-seeded pre-draw this release (see DESIGN.md release note) — so it
-// is checked for determinism separately in TestDatacenterLegacyFailuresRun.
 func TestGoldenDocsByteIdentical(t *testing.T) {
 	docs, err := filepath.Glob(filepath.Join("testdata", "golden", "*.doc.json"))
 	if err != nil {
@@ -74,9 +70,6 @@ func TestGoldenDocsByteIdentical(t *testing.T) {
 	}
 	for _, docPath := range docs {
 		name := strings.TrimSuffix(filepath.Base(docPath), ".doc.json")
-		if name == "datacenter" {
-			continue // legacy failures block: timeline re-seeded this release
-		}
 		t.Run(name, func(t *testing.T) {
 			doc, err := os.ReadFile(docPath)
 			if err != nil {
@@ -91,31 +84,6 @@ func TestGoldenDocsByteIdentical(t *testing.T) {
 				t.Errorf("result bytes changed for pre-envelope document %s:\n--- golden ---\n%s\n--- now ---\n%s", name, want, got)
 			}
 		})
-	}
-}
-
-// TestDatacenterLegacyFailuresRun covers the golden doc excluded above: the
-// legacy shorthand block still enables injection, reports the overlay metric
-// set, and stays seed-deterministic.
-func TestDatacenterLegacyFailuresRun(t *testing.T) {
-	doc, err := os.ReadFile(filepath.Join("testdata", "golden", "datacenter.doc.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := runDocBytes(t, string(doc))
-	b := runDocBytes(t, string(doc))
-	if !bytes.Equal(a, b) {
-		t.Error("legacy-failures datacenter run is not deterministic")
-	}
-	var res scenario.Result
-	if err := json.Unmarshal(a, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics["failureEvents"] <= 0 {
-		t.Errorf("failureEvents = %v, want > 0", res.Metrics["failureEvents"])
-	}
-	if av := res.Metrics["availability"]; av <= 0 || av >= 1 {
-		t.Errorf("availability = %v, want in (0,1)", av)
 	}
 }
 
