@@ -303,12 +303,12 @@ func RunWorldOn(k *sim.Kernel, cfg WorldConfig) (*WorldResult, error) {
 	// kernel RNG in arrival order — the same consumption sequence whether
 	// the workload was synthesized or read from a trace.
 	//
-	// Arrivals are pre-extracted into one column and admitted with a single
-	// ScheduleBatch sharing one handler; a cursor walks the column in firing
+	// Arrivals are pre-extracted into one column and admitted as a single
+	// stream sharing one handler; a cursor walks the column in firing
 	// order. The stable sort by submit time reproduces the per-job
 	// ScheduleAt loop's firing order exactly: the kernel fires by (time,
-	// admission order), and both the old loop and the sorted batch admit
-	// same-instant arrivals in job order.
+	// admission order), and both the per-job loop and the sorted stream
+	// admit same-instant arrivals in job order.
 	type arrival struct {
 		at      sim.Time
 		session time.Duration
@@ -338,11 +338,11 @@ func RunWorldOn(k *sim.Kernel, cfg WorldConfig) (*WorldResult, error) {
 		k.AfterFunc(session, departH[h])
 		k.AfterFunc(expDuration(k, cfg.MoveEveryMinutes), moveH[h])
 	}
-	batch := make([]sim.BatchItem, len(arrivals))
+	at := make([]sim.Time, len(arrivals))
 	for i := range arrivals {
-		batch[i] = sim.BatchItem{At: arrivals[i].at, Fn: arrive}
+		at[i] = arrivals[i].at
 	}
-	if err := k.ScheduleBatch(batch); err != nil {
+	if err := k.ScheduleStream(at, arrive); err != nil {
 		return nil, err
 	}
 	k.SetMaxEvents(20_000_000)

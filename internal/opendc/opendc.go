@@ -11,8 +11,10 @@
 package opendc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -231,21 +233,25 @@ func RunOn(k *sim.Kernel, sc *Scenario) (*Result, error) {
 		e.horizon = sc.Workload.Span() + 2*serial + 24*time.Hour
 	}
 
-	// Submit events, admitted in one batch heapify.
-	submits := make([]sim.BatchItem, 0, len(sc.Workload.Jobs))
-	for i := range sc.Workload.Jobs {
-		job := &sc.Workload.Jobs[i]
-		e.jobs[job.ID] = job
-		submits = append(submits, sim.BatchItem{
-			At: job.Submit,
-			Fn: func(now sim.Time) { e.submitJob(job, now) },
-		})
+	// Submit events, admitted as one stream: Validate guarantees the jobs
+	// are ordered by submit time, so the submit column is already sorted and
+	// same-instant jobs fire in slice order.
+	jobs := sc.Workload.Jobs
+	submits := make([]sim.Time, len(jobs))
+	for i := range jobs {
+		e.jobs[jobs[i].ID] = &jobs[i]
+		submits[i] = jobs[i].Submit
 	}
-	if err := e.k.ScheduleBatch(submits); err != nil {
+	nextJob := 0
+	if err := e.k.ScheduleStream(submits, func(now sim.Time) {
+		job := &jobs[nextJob]
+		nextJob++
+		e.submitJob(job, now)
+	}); err != nil {
 		return nil, fmt.Errorf("opendc: schedule submits: %w", err)
 	}
 
-	// Failure injection: the whole pre-generated trace goes in as one batch.
+	// Failure injection: the whole pre-generated trace goes in as one stream.
 	if sc.Failures != nil || sc.FailureSource != nil {
 		racks := make([]string, len(sc.Cluster.Machines))
 		for i, m := range sc.Cluster.Machines {
@@ -262,15 +268,24 @@ func RunOn(k *sim.Kernel, sc *Scenario) (*Result, error) {
 			return nil, fmt.Errorf("opendc: failures: %w", err)
 		}
 		e.failureEvents = events
-		failures := make([]sim.BatchItem, 0, len(events))
-		for _, fe := range events {
-			fe := fe
-			failures = append(failures, sim.BatchItem{
-				At: fe.At,
-				Fn: func(now sim.Time) { e.failMachines(fe, now) },
-			})
+		// A source need not return its trace in time order, and the trace
+		// is reported as returned, so the stream walks a stably time-sorted
+		// index: same-instant events fire in trace order.
+		order := make([]int, len(events))
+		for i := range order {
+			order[i] = i
 		}
-		if err := e.k.ScheduleBatch(failures); err != nil {
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(events[a].At, events[b].At) })
+		at := make([]sim.Time, len(order))
+		for j, i := range order {
+			at[j] = events[i].At
+		}
+		nextFailure := 0
+		if err := e.k.ScheduleStream(at, func(now sim.Time) {
+			fe := events[order[nextFailure]]
+			nextFailure++
+			e.failMachines(fe, now)
+		}); err != nil {
 			return nil, fmt.Errorf("opendc: schedule failures: %w", err)
 		}
 	}

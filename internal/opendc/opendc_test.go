@@ -199,6 +199,42 @@ func TestFailuresRestartTasks(t *testing.T) {
 	}
 }
 
+// TestUnsortedFailureTraceKeepsCallerOrder admits an out-of-order failure
+// trace: it fires in time order, yet neither the source's slice nor the
+// reported trace is reordered, and same-instant jobs still run in slice
+// order.
+func TestUnsortedFailureTraceKeepsCallerOrder(t *testing.T) {
+	job := func(id int, submit time.Duration) workload.Job {
+		return workload.Job{ID: workload.JobID(id), User: "u", Submit: submit, Tasks: []workload.Task{{
+			ID: workload.TaskID(id), Job: workload.JobID(id), Cores: dcmodel.ClassCommodity.Cores, MemoryMB: 1, Runtime: time.Minute,
+		}}}
+	}
+	w := &workload.Workload{Jobs: []workload.Job{job(1, 10*time.Minute), job(2, 10*time.Minute)}}
+	// The later event comes first; the earlier one takes the machine down
+	// across both jobs' runs, so it must fire first to delay them.
+	trace := []failure.Event{
+		{At: 5 * time.Hour, Machines: []int{0}, Repair: time.Minute},
+		{At: 9 * time.Minute, Machines: []int{0}, Repair: 30 * time.Minute},
+	}
+	res, err := Run(&Scenario{
+		Cluster:  dcmodel.NewHomogeneous("c", 1, dcmodel.ClassCommodity, 8),
+		Workload: w,
+		FailureSource: func(int, time.Duration, []string) ([]failure.Event, error) {
+			return trace, nil
+		},
+		Horizon: 6 * time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trace[0].At != 5*time.Hour || len(res.FailureEvents) != 2 || res.FailureEvents[0].At != 5*time.Hour {
+		t.Fatalf("failure trace reordered: source %v, reported %v", trace, res.FailureEvents)
+	}
+	if a, b := res.Records[0].Start, res.Records[1].Start; a != 39*time.Minute || b != 40*time.Minute {
+		t.Errorf("jobs started at %v and %v, want 39m then 40m (after the repair, in slice order)", a, b)
+	}
+}
+
 func TestDeterminismAcrossRuns(t *testing.T) {
 	mk := func() *Scenario {
 		r := rand.New(rand.NewSource(5))

@@ -108,69 +108,6 @@ func TestEventPoolRecycles(t *testing.T) {
 	}
 }
 
-func TestScheduleBatch(t *testing.T) {
-	k := New(1)
-	var order []int
-	items := []BatchItem{
-		{At: 3 * time.Second, Fn: func(Time) { order = append(order, 3) }},
-		{At: time.Second, Fn: func(Time) { order = append(order, 1) }},
-		{At: 2 * time.Second, Fn: func(Time) { order = append(order, 2) }},
-		// Same instant as the first item, later slice position: fires after.
-		{At: 3 * time.Second, Fn: func(Time) { order = append(order, 4) }},
-	}
-	if err := k.ScheduleBatch(items); err != nil {
-		t.Fatal(err)
-	}
-	if k.Pending() != 4 {
-		t.Fatalf("pending=%d, want 4", k.Pending())
-	}
-	k.Run()
-	for i, v := range order {
-		if v != i+1 {
-			t.Fatalf("batch fired out of order: %v", order)
-		}
-	}
-}
-
-// TestScheduleBatchSmallOnLargeQueue exercises the incremental-push branch
-// taken when the batch is small relative to the existing queue.
-func TestScheduleBatchSmallOnLargeQueue(t *testing.T) {
-	k := New(1)
-	fired := 0
-	for i := 0; i < 100; i++ {
-		k.MustSchedule(Time(i+1)*time.Second, func(Time) { fired++ })
-	}
-	if err := k.ScheduleBatch([]BatchItem{{At: 500 * time.Millisecond, Fn: func(now Time) {
-		if fired != 0 {
-			t.Errorf("batch item fired after %d heap events; want first", fired)
-		}
-		fired++
-	}}}); err != nil {
-		t.Fatal(err)
-	}
-	k.Run()
-	if fired != 101 {
-		t.Fatalf("fired=%d, want 101", fired)
-	}
-}
-
-func TestScheduleBatchRejectsPastAllOrNothing(t *testing.T) {
-	k := New(1)
-	k.MustSchedule(time.Second, func(Time) {})
-	k.Run() // now = 1s
-	err := k.ScheduleBatch([]BatchItem{
-		{At: 2 * time.Second, Fn: func(Time) { t.Error("item from rejected batch fired") }},
-		{At: 500 * time.Millisecond, Fn: func(Time) { t.Error("past item fired") }},
-	})
-	if err == nil {
-		t.Fatal("batch with past item accepted")
-	}
-	if k.Pending() != 0 {
-		t.Fatalf("rejected batch left %d events pending", k.Pending())
-	}
-	k.Run()
-}
-
 func TestRunUntilWithImmediateRing(t *testing.T) {
 	k := New(1)
 	fired := 0
@@ -209,7 +146,7 @@ func TestMixedAPIDeterminism(t *testing.T) {
 			case 1:
 				k.MustSchedule(Time(k.Rand().Intn(50))*time.Millisecond, step)
 			default:
-				if err := k.ScheduleBatch([]BatchItem{{At: now + time.Millisecond, Fn: step}}); err != nil {
+				if err := k.ScheduleStream([]Time{now + time.Millisecond}, step); err != nil {
 					t.Fatal(err)
 				}
 			}

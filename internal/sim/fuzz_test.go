@@ -3,13 +3,14 @@ package sim
 // Differential fuzzing of the kernel's observable scheduling semantics
 // (paper §5.3, C15–C16: a hot-path rewrite is only safe if it is
 // byte-identical to its predecessor under every schedule). A byte program
-// decodes into a deterministic schedule of Schedule/AfterFunc/ScheduleBatch/
+// decodes into a deterministic schedule of Schedule/AfterFunc/ScheduleStream/
 // Cancel/Step/RunUntil operations — including zero delays, same-instant
-// collisions, nested in-handler scheduling, and delays straddling the wheel
-// horizon — and replays it through the timing-wheel kernel (several
-// geometries), the heap-only kernel, and the naive sorted-slice reference
-// (reference_test.go). Any difference in firing order, firing times, final
-// clock, or pending count is a bug.
+// collisions, nested in-handler scheduling, delays straddling the wheel
+// horizon, and malformed (unsorted or past) streams that must be rejected
+// whole — and replays it through the timing-wheel kernel, the heap-only
+// kernel, and the naive sorted-slice reference (reference_test.go). Any
+// difference in firing order, firing times, stream rejections, final clock,
+// or pending count is a bug.
 
 import (
 	"fmt"
@@ -25,7 +26,7 @@ type kernelDriver interface {
 	Pending() int
 	Schedule(delay Time, fn Handler) (cancel func(), ok bool)
 	AfterFunc(delay Time, fn Handler)
-	ScheduleBatch(items []BatchItem) bool
+	ScheduleStream(at []Time, fn Handler) bool
 	Step() bool
 	RunUntil(horizon Time)
 	Run()
@@ -43,8 +44,8 @@ func (d realDriver) Schedule(delay Time, fn Handler) (func(), bool) {
 	return func() { d.k.Cancel(ev) }, true
 }
 func (d realDriver) AfterFunc(delay Time, fn Handler) { d.k.AfterFunc(delay, fn) }
-func (d realDriver) ScheduleBatch(items []BatchItem) bool {
-	return d.k.ScheduleBatch(items) == nil
+func (d realDriver) ScheduleStream(at []Time, fn Handler) bool {
+	return d.k.ScheduleStream(at, fn) == nil
 }
 func (d realDriver) Step() bool            { return d.k.Step() }
 func (d realDriver) RunUntil(horizon Time) { d.k.RunUntil(horizon) }
@@ -61,11 +62,13 @@ func (d refDriver) Schedule(delay Time, fn Handler) (func(), bool) {
 	}
 	return func() { d.r.cancel(ev) }, true
 }
-func (d refDriver) AfterFunc(delay Time, fn Handler)     { d.r.insert(d.r.now+delay, fn) }
-func (d refDriver) ScheduleBatch(items []BatchItem) bool { return d.r.scheduleBatch(items) }
-func (d refDriver) Step() bool                           { return d.r.step() }
-func (d refDriver) RunUntil(horizon Time)                { d.r.runUntil(horizon) }
-func (d refDriver) Run()                                 { d.r.run() }
+func (d refDriver) AfterFunc(delay Time, fn Handler) { d.r.insert(d.r.now+delay, fn) }
+func (d refDriver) ScheduleStream(at []Time, fn Handler) bool {
+	return d.r.scheduleStream(at, fn)
+}
+func (d refDriver) Step() bool            { return d.r.step() }
+func (d refDriver) RunUntil(horizon Time) { d.r.runUntil(horizon) }
+func (d refDriver) Run()                  { d.r.run() }
 
 // fireRec is one trace entry: which logical event fired and when.
 type fireRec struct {
@@ -74,9 +77,10 @@ type fireRec struct {
 }
 
 type replayResult struct {
-	trace   []fireRec
-	now     Time
-	pending int
+	trace    []fireRec
+	rejected int // streams refused at admission
+	now      Time
+	pending  int
 }
 
 // progDelay maps a program byte to a delay covering every routing regime:
@@ -108,12 +112,32 @@ type replayState struct {
 	nestedAt int
 	fired    int
 	maxFired int
+	rejected int
 }
 
 func (r *replayState) newID() int {
 	id := r.nextID
 	r.nextID++
 	return id
+}
+
+// stream admits a pre-drawn timeline the way the engines do: one shared
+// handler that walks its own cursor over per-item ids in firing order. The
+// ids are drawn up front, so a rejected stream consumes the same ids in
+// every kernel and the rejection itself is part of the compared result.
+func (r *replayState) stream(at []Time) {
+	ids := make([]int, len(at))
+	for i := range ids {
+		ids[i] = r.newID()
+	}
+	cursor := 0
+	if !r.d.ScheduleStream(at, func(now Time) {
+		id := ids[cursor]
+		cursor++
+		r.handler(id)(now)
+	}) {
+		r.rejected++
+	}
 }
 
 // nestedByte deterministically draws program bytes for in-handler decisions.
@@ -181,11 +205,22 @@ func replay(d kernelDriver, data []byte) replayResult {
 				r.cancels = append(r.cancels, cancel)
 			}
 		case 3:
-			items := make([]BatchItem, int(arg)%3+1)
-			for i := range items {
-				items[i] = BatchItem{At: d.Now() + progDelay(next()), Fn: r.handler(r.newID())}
+			// A short non-decreasing stream; arg occasionally malforms it
+			// (unsorted, or starting in the past), which every kernel must
+			// reject without admitting any item.
+			at := make([]Time, int(arg)%3+1)
+			t := d.Now()
+			for i := range at {
+				t += progDelay(next())
+				at[i] = t
 			}
-			d.ScheduleBatch(items)
+			switch arg % 16 {
+			case 13:
+				at[0], at[len(at)-1] = at[len(at)-1], at[0]
+			case 14:
+				at[0] = d.Now() - 1
+			}
+			r.stream(at)
 		case 4:
 			if len(r.cancels) > 0 {
 				r.cancels[int(arg)%len(r.cancels)]()
@@ -195,18 +230,15 @@ func replay(d kernelDriver, data []byte) replayResult {
 		case 6:
 			d.RunUntil(d.Now() + progDelay(arg))
 		case 7:
-			// Far-future batch with an exact same-instant collision, plus a
+			// Far-future stream with an exact same-instant collision, plus a
 			// short event: exercises the wheel↔heap horizon handoff.
 			at := d.Now() + 257*Time(time.Millisecond)
-			d.ScheduleBatch([]BatchItem{
-				{At: at, Fn: r.handler(r.newID())},
-				{At: at, Fn: r.handler(r.newID())},
-			})
+			r.stream([]Time{at, at})
 			d.AfterFunc(progDelay(arg), r.handler(r.newID()))
 		}
 	}
 	d.Run()
-	return replayResult{trace: r.trace, now: d.Now(), pending: d.Pending()}
+	return replayResult{trace: r.trace, rejected: r.rejected, now: d.Now(), pending: d.Pending()}
 }
 
 // kernelVariants returns the kernel configurations under differential test.
@@ -220,10 +252,8 @@ func kernelVariants() []struct {
 		name string
 		k    *Kernel
 	}{
-		{"wheel-default", New(1)},
+		{"wheel", New(1)},
 		{"heap-only", New(1, WithoutTimingWheel())},
-		{"wheel-coarse", New(1, WithTimingWheel(16*Time(time.Millisecond), Time(time.Second)))},
-		{"wheel-pow2", New(1, WithTimingWheel(1<<16, 1<<22))}, // shift-indexed ticks
 	}
 }
 
@@ -237,6 +267,9 @@ func diffResults(want, got replayResult) error {
 				i, got.trace[i].id, got.trace[i].at, want.trace[i].id, want.trace[i].at)
 		}
 	}
+	if want.rejected != got.rejected {
+		return fmt.Errorf("rejected %d streams, reference rejected %d", got.rejected, want.rejected)
+	}
 	if want.now != got.now {
 		return fmt.Errorf("final clock %v, reference %v", got.now, want.now)
 	}
@@ -247,8 +280,8 @@ func diffResults(want, got replayResult) error {
 }
 
 // runDifferential replays one program through the reference and every kernel
-// variant and reports the first divergence.
-func runDifferential(t *testing.T, data []byte) {
+// variant, reports the first divergence, and returns the reference result.
+func runDifferential(t *testing.T, data []byte) replayResult {
 	t.Helper()
 	want := replay(refDriver{&refKernel{}}, data)
 	for _, v := range kernelVariants() {
@@ -256,6 +289,7 @@ func runDifferential(t *testing.T, data []byte) {
 			t.Errorf("%s: %v", v.name, err)
 		}
 	}
+	return want
 }
 
 // FuzzKernelOrdering is the differential fuzz target; CI runs a short
@@ -288,12 +322,16 @@ func FuzzKernelOrdering(f *testing.F) {
 // of pseudorandom programs through the same differential harness.
 func TestKernelDifferentialPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
+	rejected := 0
 	for i := 0; i < 60; i++ {
 		data := make([]byte, 20+rng.Intn(500))
 		rng.Read(data)
 		data = append(data, byte(i)) // touch every opcode phase across runs
 		t.Run(fmt.Sprintf("program-%02d", i), func(t *testing.T) {
-			runDifferential(t, data)
+			rejected += runDifferential(t, data).rejected
 		})
+	}
+	if rejected == 0 {
+		t.Error("no program exercised a rejected stream")
 	}
 }

@@ -22,11 +22,11 @@
 //     events. The wheel is observationally invisible — Step merges all
 //     sources strictly by (time, sequence) — and can be disabled with
 //     WithoutTimingWheel.
-//   - ScheduleBatch admits a pre-built slice of events in one heapify pass
-//     instead of n sift-ups (short-delay items route to the wheel too).
-//   - ScheduleStream admits a time-sorted slice sharing one handler behind a
-//     cursor (stream.go): zero allocation per item, with a reserved sequence
-//     block making it observationally identical to ScheduleBatch.
+//   - ScheduleStream is the one admission path for a pre-drawn, time-sorted
+//     timeline (workload arrivals, failure traces): one shared handler
+//     behind a cursor (stream.go), zero allocation per item, with a reserved
+//     sequence block making it observationally identical to scheduling each
+//     item with ScheduleAt in slice order.
 //
 // Schedule/ScheduleAt/MustSchedule retain their original semantics: they
 // return a cancelable *Event handle the caller may hold indefinitely, so
@@ -60,21 +60,17 @@ type Event struct {
 	// fired marks handle-bearing events that have already executed, so a
 	// late Cancel does not corrupt the kernel's live-event accounting.
 	fired bool
-	// pooled marks events created through the fire-and-forget APIs
-	// (AfterFunc, ScheduleBatch); no handle escapes, so the kernel recycles
-	// them through the free list after they fire.
+	// pooled marks events created through the fire-and-forget AfterFunc;
+	// no handle escapes, so the kernel recycles them through the free list
+	// after they fire.
 	pooled bool
 	fn     Handler
-	label  string
 	// next links events on the kernel's free list.
 	next *Event
 }
 
 // At returns the virtual time the event is scheduled for.
 func (e *Event) At() Time { return e.at }
-
-// Label returns the optional debugging label attached to the event.
-func (e *Event) Label() string { return e.label }
 
 // Canceled reports whether the event has been canceled.
 func (e *Event) Canceled() bool { return e.canceled }
@@ -127,16 +123,6 @@ type Kernel struct {
 // Option configures a Kernel at construction time.
 type Option func(*Kernel)
 
-// WithTimingWheel overrides the timing wheel's tick granularity and span
-// (horizon). The span is rounded up to the next power-of-two number of
-// ticks. Panics if tick is non-positive or span does not exceed tick.
-// The default wheel (1ms tick, 256ms span) is tuned for the dense
-// short-delay event mix of the ecosystem models; tighten the tick for
-// sub-millisecond models or widen the span for coarser ones.
-func WithTimingWheel(tick, span Time) Option {
-	return func(k *Kernel) { k.wheel = newTimingWheel(tick, span) }
-}
-
 // WithKernelStats attaches a telemetry accumulator: the kernel counts
 // per-path dispatches, cancels, wheel rotations, and horizon overflows
 // into st as it runs, and fires st.OnHeartbeat every st.HeartbeatEvery
@@ -162,7 +148,7 @@ func WithoutTimingWheel() Option {
 func New(seed int64, opts ...Option) *Kernel {
 	k := &Kernel{
 		rng:   rand.New(rand.NewSource(seed)),
-		wheel: newTimingWheel(defaultWheelTick, defaultWheelSpan),
+		wheel: &timingWheel{curTick: -1},
 	}
 	for _, opt := range opts {
 		opt(k)
@@ -216,16 +202,6 @@ func (k *Kernel) ScheduleAt(at Time, fn Handler) (*Event, error) {
 	return ev, nil
 }
 
-// ScheduleLabeled is ScheduleAt with a debugging label attached to the event.
-func (k *Kernel) ScheduleLabeled(at Time, label string, fn Handler) (*Event, error) {
-	ev, err := k.ScheduleAt(at, fn)
-	if err != nil {
-		return nil, err
-	}
-	ev.label = label
-	return ev, nil
-}
-
 // MustSchedule is Schedule for callers that know delay is non-negative; it
 // panics on programmer error instead of returning one.
 func (k *Kernel) MustSchedule(delay Time, fn Handler) *Event {
@@ -261,50 +237,6 @@ func (k *Kernel) AfterFunc(delay Time, fn Handler) {
 	k.queue.push(k.allocEvent(at, fn))
 }
 
-// BatchItem is one entry of a ScheduleBatch call.
-type BatchItem struct {
-	At Time
-	Fn Handler
-}
-
-// ScheduleBatch admits many fire-and-forget events at absolute times in one
-// call. Short-delay items route to the timing wheel (O(1) each); for large
-// heap-bound remainders the queue is re-heapified once — O(n) instead of
-// n·O(log n) sift-ups — which makes bulk admission (workload arrivals,
-// pre-generated failure traces) cheap. Items may be in any order; FIFO
-// ordering among same-instant events follows slice order. The call is
-// all-or-nothing: if any item lies in the past, nothing is scheduled.
-func (k *Kernel) ScheduleBatch(items []BatchItem) error {
-	for i := range items {
-		if items[i].At < k.now {
-			return fmt.Errorf("%w: at=%v now=%v (batch item %d)", ErrPastEvent, items[i].At, k.now, i)
-		}
-	}
-	// Wheel-eligible items leave the queue untouched; heap-bound stragglers
-	// are appended and then sifted up individually when they are few
-	// relative to the existing queue (equivalent to plain pushes), or
-	// heapified in one O(n) pass when they dominate. Routing never changes
-	// relative order among same-instant items, because routing depends only
-	// on an item's time: same-instant items always land in the same queue.
-	start := len(k.queue)
-	for i := range items {
-		if k.wheelAdd(items[i].At, items[i].Fn) {
-			continue
-		}
-		k.queue = append(k.queue, k.allocEvent(items[i].At, items[i].Fn))
-	}
-	switch added := len(k.queue) - start; {
-	case added == 0:
-	case added < start/8:
-		for i := start; i < len(k.queue); i++ {
-			k.queue.up(i)
-		}
-	default:
-		k.queue.init()
-	}
-	return nil
-}
-
 // allocEvent takes a pooled event off the free list (or allocates one) and
 // stamps it with the next sequence number.
 func (k *Kernel) allocEvent(at Time, fn Handler) *Event {
@@ -329,7 +261,6 @@ func (k *Kernel) recycle(ev *Event) {
 		return
 	}
 	ev.fn = nil
-	ev.label = ""
 	ev.next = k.free
 	k.free = ev
 }
@@ -387,8 +318,8 @@ func (k *Kernel) Step() bool {
 	if w := k.wheel; w != nil && w.count > 0 {
 		var wev *wheelEvent
 		if w.curTick >= 0 {
-			wev = &w.buckets[w.curTick&w.mask][w.curHead]
-		} else if t := w.scan(k.now); src == srcNone || Time(t)*w.tick <= at {
+			wev = &w.buckets[w.curTick&wheelMask][w.curHead]
+		} else if t := w.scan(k.now); src == srcNone || Time(t)*wheelTick <= at {
 			// Only sort the bucket when it can actually win the merge: if
 			// the best candidate so far fires before the bucket's start,
 			// the wheel is out of the race this step.
@@ -396,7 +327,7 @@ func (k *Kernel) Step() bool {
 			if k.stats != nil {
 				k.stats.WheelRotations++
 			}
-			wev = &w.buckets[t&w.mask][0]
+			wev = &w.buckets[t&wheelMask][0]
 		}
 		if wev != nil && (src == srcNone || wev.at < at || (wev.at == at && wev.seq < seq)) {
 			src, at, seq = srcWheel, wev.at, wev.seq
@@ -520,10 +451,10 @@ func (k *Kernel) peek() (Time, bool) {
 	}
 	if w := k.wheel; w != nil && w.count > 0 {
 		if w.curTick >= 0 {
-			if wat := w.buckets[w.curTick&w.mask][w.curHead].at; !ok || wat < at {
+			if wat := w.buckets[w.curTick&wheelMask][w.curHead].at; !ok || wat < at {
 				at, ok = wat, true
 			}
-		} else if t := w.scan(k.now); !ok || Time(t)*w.tick < at {
+		} else if t := w.scan(k.now); !ok || Time(t)*wheelTick < at {
 			// Prime (sort) only when the bucket could actually hold the
 			// earliest event; when the heap front is due at or before the
 			// bucket's start it already is the minimum time.
@@ -531,7 +462,7 @@ func (k *Kernel) peek() (Time, bool) {
 			if k.stats != nil {
 				k.stats.WheelRotations++
 			}
-			if wat := w.buckets[t&w.mask][0].at; !ok || wat < at {
+			if wat := w.buckets[t&wheelMask][0].at; !ok || wat < at {
 				at, ok = wat, true
 			}
 		}
@@ -603,12 +534,5 @@ func (q eventQueue) down(i int) {
 		}
 		q[i], q[least] = q[least], q[i]
 		i = least
-	}
-}
-
-// init establishes the heap invariant over the whole slice in O(n).
-func (q eventQueue) init() {
-	for i := len(q)/2 - 1; i >= 0; i-- {
-		q.down(i)
 	}
 }

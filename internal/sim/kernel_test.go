@@ -210,51 +210,6 @@ func TestTimerResetSupersedesPending(t *testing.T) {
 	}
 }
 
-func TestResourceFIFOQueueing(t *testing.T) {
-	k := New(1)
-	r := NewResource(k, 2)
-	var order []int
-	hold := func(id int, dur Time) func(Time) {
-		return func(Time) {
-			order = append(order, id)
-			k.MustSchedule(dur, func(Time) { r.Release() })
-		}
-	}
-	for i := 0; i < 4; i++ {
-		r.Acquire(hold(i, time.Second))
-	}
-	k.Run()
-	if len(order) != 4 {
-		t.Fatalf("served %d acquirers, want 4", len(order))
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("resource served out of FIFO order: %v", order)
-		}
-	}
-	if r.InUse() != 0 {
-		t.Errorf("resource leaked %d units", r.InUse())
-	}
-}
-
-func TestResourceSetCapacityWakesWaiters(t *testing.T) {
-	k := New(1)
-	r := NewResource(k, 1)
-	granted := 0
-	for i := 0; i < 3; i++ {
-		r.Acquire(func(Time) { granted++ })
-	}
-	k.Run()
-	if granted != 1 {
-		t.Fatalf("granted=%d, want 1 before growth", granted)
-	}
-	r.SetCapacity(3)
-	k.Run()
-	if granted != 3 {
-		t.Fatalf("granted=%d, want 3 after growth", granted)
-	}
-}
-
 func BenchmarkKernelScheduleRun(b *testing.B) {
 	k := New(1)
 	noop := func(Time) {}
@@ -266,27 +221,6 @@ func BenchmarkKernelScheduleRun(b *testing.B) {
 		}
 	}
 	k.Run()
-}
-
-func TestScheduleLabeled(t *testing.T) {
-	k := New(1)
-	ev, err := k.ScheduleLabeled(time.Second, "job-arrival", func(Time) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Label() != "job-arrival" || ev.At() != time.Second {
-		t.Errorf("label=%q at=%v", ev.Label(), ev.At())
-	}
-	if k.Pending() != 1 {
-		t.Errorf("pending=%d", k.Pending())
-	}
-	if _, err := k.ScheduleLabeled(-time.Second+k.Now(), "past", func(Time) {}); err == nil {
-		t.Error("past labeled event accepted")
-	}
-	k.Run()
-	if k.Pending() != 0 {
-		t.Errorf("pending after drain=%d", k.Pending())
-	}
 }
 
 func TestScheduleNegativeDelayRejected(t *testing.T) {
@@ -330,29 +264,29 @@ func TestWheelHeapHorizonHandoff(t *testing.T) {
 	}
 }
 
-// TestRunUntilLandsMidBucket stops a coarse-tick kernel between two events
-// that share a wheel bucket: the horizon must split the bucket exactly.
+// TestRunUntilLandsMidBucket stops the kernel between two events that share
+// a wheel bucket: the horizon must split the bucket exactly.
 func TestRunUntilLandsMidBucket(t *testing.T) {
-	k := New(1, WithTimingWheel(10*time.Millisecond, time.Second))
+	k := New(1)
 	var got []Time
 	record := func(now Time) { got = append(got, now) }
-	for _, d := range []Time{12, 14, 18} { // one bucket: tick 1 of 10ms
-		k.AfterFunc(d*Time(time.Millisecond), record)
+	for _, d := range []Time{1200, 1400, 1800} { // one bucket: tick 1 of 1ms
+		k.AfterFunc(d*Time(time.Microsecond), record)
 	}
-	if n := k.RunUntil(15 * time.Millisecond); n != 2 {
+	if n := k.RunUntil(1500 * time.Microsecond); n != 2 {
 		t.Fatalf("RunUntil processed %d events, want 2", n)
 	}
-	if k.Now() != 15*time.Millisecond {
-		t.Fatalf("clock at %v, want 15ms", k.Now())
+	if k.Now() != 1500*time.Microsecond {
+		t.Fatalf("clock at %v, want 1.5ms", k.Now())
 	}
 	if k.Pending() != 1 {
 		t.Fatalf("pending=%d, want the rest of the bucket", k.Pending())
 	}
 	// A fresh event due before the bucket remainder, landing in the
 	// current tick, must still fire first.
-	k.AfterFunc(time.Millisecond, record)
+	k.AfterFunc(100*time.Microsecond, record)
 	k.Run()
-	want := []Time{12 * time.Millisecond, 14 * time.Millisecond, 16 * time.Millisecond, 18 * time.Millisecond}
+	want := []Time{1200 * time.Microsecond, 1400 * time.Microsecond, 1600 * time.Microsecond, 1800 * time.Microsecond}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("firing order %v, want %v", got, want)
@@ -450,54 +384,6 @@ func TestWithoutTimingWheel(t *testing.T) {
 	}
 	k.Run()
 	want := []Time{time.Millisecond, 3 * time.Millisecond, 5 * time.Millisecond}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("firing order %v, want %v", got, want)
-		}
-	}
-}
-
-// TestTimingWheelOptionValidation pins the construction contract.
-func TestTimingWheelOptionValidation(t *testing.T) {
-	for name, opt := range map[string]Option{
-		"zero tick":     WithTimingWheel(0, time.Second),
-		"negative tick": WithTimingWheel(-time.Millisecond, time.Second),
-		"span <= tick":  WithTimingWheel(time.Millisecond, time.Millisecond),
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			New(1, opt)
-		}()
-	}
-}
-
-// TestScheduleBatchRoutesThroughWheel admits a bulk batch straddling the
-// horizon and checks ordering and Pending across the split.
-func TestScheduleBatchRoutesThroughWheel(t *testing.T) {
-	k := New(1)
-	var got []Time
-	record := func(now Time) { got = append(got, now) }
-	items := []BatchItem{
-		{At: 300 * time.Millisecond, Fn: record}, // heap (past horizon)
-		{At: 2 * time.Millisecond, Fn: record},   // wheel
-		{At: 2 * time.Millisecond, Fn: record},   // wheel, same instant: FIFO
-		{At: 0, Fn: record},                      // heap (current tick)
-	}
-	if err := k.ScheduleBatch(items); err != nil {
-		t.Fatal(err)
-	}
-	if k.Pending() != 4 {
-		t.Fatalf("pending=%d, want 4", k.Pending())
-	}
-	k.Run()
-	want := []Time{0, 2 * time.Millisecond, 2 * time.Millisecond, 300 * time.Millisecond}
-	if len(got) != len(want) {
-		t.Fatalf("fired %d events, want %d", len(got), len(want))
-	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("firing order %v, want %v", got, want)

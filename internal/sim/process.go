@@ -1,10 +1,9 @@
 package sim
 
 // This file provides higher-level building blocks on top of the raw event
-// kernel: periodic tickers, resettable timers, and simple FIFO resources.
-// They cover the recurring patterns in the ecosystem models (monitoring
-// loops, idle timeouts, single-server queues) without each model re-deriving
-// them.
+// kernel: periodic tickers and resettable timers. They cover the recurring
+// patterns in the ecosystem models (monitoring loops, idle timeouts) without
+// each model re-deriving them.
 
 // Ticker invokes a handler at a fixed period until stopped. It is the
 // simulated analogue of time.Ticker and drives monitoring and control loops
@@ -74,69 +73,5 @@ func (t *Timer) Stop() {
 	if t.ev != nil {
 		t.k.Cancel(t.ev)
 		t.ev = nil
-	}
-}
-
-// Resource is a counted resource with a FIFO wait queue: the discrete-event
-// analogue of a semaphore. Acquire either grants a unit immediately or queues
-// the waiter; Release hands freed units to the head of the queue.
-type Resource struct {
-	k        *Kernel
-	capacity int
-	inUse    int
-	waiters  []func(now Time)
-}
-
-// NewResource returns a resource with the given capacity (units).
-func NewResource(k *Kernel, capacity int) *Resource {
-	return &Resource{k: k, capacity: capacity}
-}
-
-// Capacity returns the total number of units.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of waiters queued for a unit.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
-
-// Acquire requests one unit. The granted callback runs (as a scheduled event
-// at the current time, preserving run-to-completion semantics) once a unit is
-// available.
-func (r *Resource) Acquire(granted func(now Time)) {
-	if r.inUse < r.capacity {
-		r.inUse++
-		r.k.MustSchedule(0, granted)
-		return
-	}
-	r.waiters = append(r.waiters, granted)
-}
-
-// Release returns one unit, waking the oldest waiter if any.
-func (r *Resource) Release() {
-	if len(r.waiters) > 0 {
-		next := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		r.k.MustSchedule(0, next)
-		return
-	}
-	if r.inUse > 0 {
-		r.inUse--
-	}
-}
-
-// SetCapacity grows or shrinks the resource. Growing wakes as many waiters as
-// new units allow; shrinking takes effect lazily as units are released.
-func (r *Resource) SetCapacity(capacity int) {
-	if capacity < 0 {
-		capacity = 0
-	}
-	r.capacity = capacity
-	for r.inUse < r.capacity && len(r.waiters) > 0 {
-		next := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		r.inUse++
-		r.k.MustSchedule(0, next)
 	}
 }

@@ -45,14 +45,20 @@ func (r *refKernel) schedule(delay Time, fn Handler) (*refEvent, bool) {
 	return r.insert(r.now+delay, fn), true
 }
 
-func (r *refKernel) scheduleBatch(items []BatchItem) bool {
-	for i := range items {
-		if items[i].At < r.now {
+// scheduleStream admits a non-decreasing, not-past timeline all-or-nothing,
+// inserting the items in slice order: with nothing else inserted in
+// between, they take one contiguous block of sequence numbers.
+func (r *refKernel) scheduleStream(at []Time, fn Handler) bool {
+	if len(at) > 0 && (fn == nil || at[0] < r.now) {
+		return false
+	}
+	for i := 1; i < len(at); i++ {
+		if at[i] < at[i-1] {
 			return false
 		}
 	}
-	for i := range items {
-		r.insert(items[i].At, items[i].Fn)
+	for _, t := range at {
+		r.insert(t, fn)
 	}
 	return true
 }

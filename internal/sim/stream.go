@@ -1,22 +1,23 @@
 package sim
 
-// This file implements the sorted-stream front-end of the event queue: bulk
-// admission of a time-ordered fire-and-forget stream (workload arrivals,
-// pre-sorted trace replays) that shares ONE handler and never materializes
-// an Event per item. ScheduleBatch admits n arrivals as n pooled events —
-// all live simultaneously, so the free list cannot help and the kernel
-// allocates n Events up front. A stream instead keeps the caller's times
-// slice in place behind a cursor: admission is O(n) validation, zero
-// allocation per item, and the merge in Step reads the head element only.
+// This file implements the sorted-stream front-end of the event queue, the
+// kernel's one admission path for a pre-drawn, time-ordered timeline
+// (workload arrivals, failure traces, trace replays): the whole timeline
+// shares ONE handler and never materializes an Event per item. The stream
+// keeps the caller's times slice in place behind a cursor: admission is O(n)
+// validation, zero allocation per item, and the merge in Step reads the head
+// element only. Engines whose items are not already time-ordered sort a copy
+// stably by time first, and handlers that need per-item data walk their own
+// column with a cursor in firing order.
 //
-// Determinism contract: a stream is observationally identical to the
-// equivalent ScheduleBatch call. Batch items consume one sequence number
-// each, in slice order (allocEvent and wheelAdd both increment k.seq), so a
-// stream reserves the same contiguous block at admission — item i fires
-// with sequence base+1+i — and Step merges stream heads with the immediate
-// ring, heap, and wheel strictly by (time, sequence). Firing order, clock
-// advance, and Pending accounting cannot differ between the two admission
-// paths (TestScheduleStreamMatchesScheduleBatch enforces this).
+// Determinism contract: a stream is observationally identical to scheduling
+// its items one by one with ScheduleAt, in slice order, at admission time.
+// Such a loop consumes one sequence number per item, so a stream reserves
+// the same contiguous block — item i fires with sequence base+1+i — and
+// Step merges stream heads with the immediate ring, heap, and wheel strictly
+// by (time, sequence). Firing order, clock advance, and Pending accounting
+// cannot differ between the two (TestScheduleStreamMatchesPerItemScheduleAt
+// and the differential fuzz harness enforce this).
 
 import "fmt"
 
@@ -34,8 +35,9 @@ type eventStream struct {
 // absolute times, all sharing one handler, with zero per-event allocation:
 // the slice is referenced in place (the caller must not mutate it) and a
 // contiguous sequence block is reserved so the firing order is exactly that
-// of the equivalent ScheduleBatch call — same-instant stream items fire in
-// slice order, interleaved with other queues by (time, sequence). The call
+// of scheduling each item with ScheduleAt in slice order — same-instant
+// stream items fire in slice order, interleaved with other queues by
+// (time, sequence). The call
 // is all-or-nothing: an out-of-order or past item admits nothing. Handlers
 // that need per-item data keep their own cursor, which the kernel's strict
 // in-order delivery keeps aligned with the stream head.

@@ -6,13 +6,14 @@ import (
 	"time"
 )
 
-// TestScheduleStreamMatchesScheduleBatch is the stream's determinism proof:
-// the same sorted arrival set admitted as a stream and as a batch must fire
-// in the identical order, interleaved identically with reactive events the
+// TestScheduleStreamMatchesPerItemScheduleAt is the stream's determinism
+// proof: the same sorted arrival set admitted as a stream and as the
+// per-item ScheduleAt loop the engines used before streams must fire in the
+// identical order, interleaved identically with reactive events the
 // handlers schedule at runtime (zero-delay immediates, short wheel delays,
 // long heap delays), including same-instant collisions between arrivals
 // and reactive events.
-func TestScheduleStreamMatchesScheduleBatch(t *testing.T) {
+func TestScheduleStreamMatchesPerItemScheduleAt(t *testing.T) {
 	type record struct {
 		tag string
 		id  int
@@ -44,16 +45,14 @@ func TestScheduleStreamMatchesScheduleBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			items := make([]BatchItem, len(arrivals))
 			for i := range arrivals {
 				id := i
-				items[i] = BatchItem{At: arrivals[i], Fn: func(now Time) {
+				if _, err := k.ScheduleAt(arrivals[i], func(now Time) {
 					log = append(log, record{"arrive", id, now})
 					react(id)
-				}}
-			}
-			if err := k.ScheduleBatch(items); err != nil {
-				t.Fatal(err)
+				}); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		if got := k.Pending(); got < len(arrivals) {
@@ -76,14 +75,14 @@ func TestScheduleStreamMatchesScheduleBatch(t *testing.T) {
 			arrivals[i] = clock
 		}
 		seed := int64(trial)
-		batch := run(seed, arrivals, false)
+		perItem := run(seed, arrivals, false)
 		stream := run(seed, arrivals, true)
-		if len(batch) != len(stream) {
-			t.Fatalf("trial %d: %d batch records vs %d stream records", trial, len(batch), len(stream))
+		if len(perItem) != len(stream) {
+			t.Fatalf("trial %d: %d per-item records vs %d stream records", trial, len(perItem), len(stream))
 		}
-		for i := range batch {
-			if batch[i] != stream[i] {
-				t.Fatalf("trial %d: firing order diverges at %d: batch %+v vs stream %+v", trial, i, batch[i], stream[i])
+		for i := range perItem {
+			if perItem[i] != stream[i] {
+				t.Fatalf("trial %d: firing order diverges at %d: per-item %+v vs stream %+v", trial, i, perItem[i], stream[i])
 			}
 		}
 	}

@@ -7,38 +7,37 @@ package sim
 // hierarchy for far-future and handle-bearing events.
 //
 // Determinism contract: the wheel must be observationally invisible. The
-// kernel merges wheel, heap, and immediate ring strictly by (time, sequence
-// number), and within a bucket events are sorted by the same key before they
+// kernel merges wheel, heap, immediate ring, and stream heads strictly by
+// (time, sequence number), and within a bucket events are sorted by the same key before they
 // drain, so the firing order is byte-identical to a heap-only kernel under
 // every schedule. internal/sim's differential fuzz harness
 // (FuzzKernelOrdering) replays random schedules through both kernels and a
 // naive reference to enforce exactly that.
 //
 // Window discipline: an event is wheel-eligible only when its tick lies
-// strictly after the current tick and within numBuckets ticks of now. The
+// strictly after the current tick and within wheelBuckets ticks of now. The
 // strict lower bound keeps a draining bucket append-free (events for the
 // instant-in-progress go to the heap or the immediate ring), and the upper
 // bound guarantees each ring slot holds at most one tick generation, so no
 // cascading is ever needed — out-of-window events simply stay on the heap.
 
-import (
-	"math/bits"
-	"sort"
-)
+import "sort"
 
-// Default wheel geometry, tuned for the ecosystem models' dominant delay
-// mix: sub-second completions and hand-offs at millisecond granularity.
-// A 1ms tick × 256 buckets = a 256ms horizon; anything longer is heap
-// traffic anyway (idle timeouts, diurnal arrivals), and anything denser
-// still lands in the right bucket because ordering inside a bucket is by
-// exact (time, seq), not by tick. A whole-millisecond tick also keeps
-// models that schedule in round milliseconds from straddling tick
-// boundaries (a delay of k ms always lands k ticks ahead), which measures
-// faster end-to-end than a power-of-two tick despite the latter's cheaper
-// shift-based slotting.
+// Wheel geometry, tuned for the ecosystem models' dominant delay mix:
+// sub-second completions and hand-offs at millisecond granularity. A 1ms
+// tick × 256 buckets = a 256ms horizon; anything longer is heap traffic
+// anyway (idle timeouts, diurnal arrivals), and anything denser still lands
+// in the right bucket because ordering inside a bucket is by exact
+// (time, seq), not by tick. A whole-millisecond tick also keeps models that
+// schedule in round milliseconds from straddling tick boundaries (a delay
+// of k ms always lands k ticks ahead), which measures faster end-to-end
+// than a power-of-two tick despite the latter's cheaper shift-based
+// slotting. Constant geometry lets the compiler strength-reduce the tick
+// division to a multiply and the slot mask to an immediate.
 const (
-	defaultWheelTick = Time(1e6)       // 1ms
-	defaultWheelSpan = Time(256 * 1e6) // 256ms
+	wheelTick    = Time(1e6) // 1ms
+	wheelBuckets = 256       // power of two: slot = tick & wheelMask
+	wheelMask    = wheelBuckets - 1
 )
 
 // wheelEvent is a fire-and-forget event stored by value in a wheel bucket.
@@ -52,19 +51,11 @@ type wheelEvent struct {
 }
 
 // timingWheel is a single-level timing wheel over absolute virtual time.
-// Slot assignment is tick(at) & mask, where tick(at) = at / tick and the
-// bucket count is a power of two. Buckets keep their backing arrays when
-// drained (reset to length zero in place), so steady-state operation
-// allocates nothing.
+// Slot assignment is tick(at) & wheelMask, where tick(at) = at / wheelTick.
+// Buckets keep their backing arrays when drained (reset to length zero in
+// place), so steady-state operation allocates nothing. A fresh wheel must
+// have curTick = -1.
 type timingWheel struct {
-	tick Time  // bucket granularity
-	nb   int   // number of buckets (power of two)
-	mask int64 // nb - 1, for slot masking
-	// shift is log2(tick) when the tick is a power of two of nanoseconds
-	// (tick indexing becomes a shift, off the hot path's division cost);
-	// -1 selects the general division path.
-	shift int
-
 	// buckets is the ring, allocated lazily on the first insert so kernels
 	// that never schedule short delays pay nothing.
 	buckets [][]wheelEvent
@@ -79,54 +70,22 @@ type timingWheel struct {
 	curHead int
 }
 
-// newTimingWheel returns a wheel with the given tick granularity whose span
-// (horizon) is rounded up to the next power-of-two number of ticks.
-func newTimingWheel(tick, span Time) *timingWheel {
-	if tick <= 0 {
-		panic("sim: timing wheel tick must be positive")
-	}
-	if span <= tick {
-		panic("sim: timing wheel span must exceed the tick")
-	}
-	nb := 2
-	for Time(nb)*tick < span {
-		nb <<= 1
-	}
-	shift := -1
-	if tick&(tick-1) == 0 {
-		shift = bits.TrailingZeros64(uint64(tick))
-	}
-	return &timingWheel{tick: tick, nb: nb, mask: int64(nb - 1), shift: shift, curTick: -1}
-}
-
-// tickIndex maps an absolute time to its tick number. The two fast paths
-// matter: a shift for power-of-two ticks, and a constant division for the
-// default tick, which the compiler strength-reduces to a multiply —
-// int64 division by a variable costs tens of cycles and wheelAdd performs
-// two of these per insert.
-func (w *timingWheel) tickIndex(at Time) int64 {
-	if w.shift >= 0 {
-		return int64(at) >> uint(w.shift)
-	}
-	if w.tick == defaultWheelTick {
-		return int64(at / defaultWheelTick)
-	}
-	return int64(at / w.tick)
-}
+// tickIndex maps an absolute time to its tick number.
+func tickIndex(at Time) int64 { return int64(at / wheelTick) }
 
 // wheelAdd files a fire-and-forget event into the wheel if its time lies
-// within the window: strictly after the current tick and less than nb ticks
-// from now. It reports whether the event was taken (consuming a sequence
+// within the window: strictly after the current tick and less than
+// wheelBuckets ticks from now. It reports whether the event was taken (consuming a sequence
 // number); otherwise the caller heaps it.
 func (k *Kernel) wheelAdd(at Time, fn Handler) bool {
 	w := k.wheel
 	if w == nil {
 		return false
 	}
-	t := w.tickIndex(at)
-	nowT := w.tickIndex(k.now)
-	if t <= nowT || t >= nowT+int64(w.nb) {
-		if k.stats != nil && t >= nowT+int64(w.nb) {
+	t := tickIndex(at)
+	nowT := tickIndex(k.now)
+	if t <= nowT || t >= nowT+wheelBuckets {
+		if k.stats != nil && t >= nowT+wheelBuckets {
 			// Past the wheel horizon: the event overflows to the heap. (The
 			// t <= nowT case is the current-instant window bound, not an
 			// overflow.)
@@ -135,10 +94,10 @@ func (k *Kernel) wheelAdd(at Time, fn Handler) bool {
 		return false
 	}
 	if w.buckets == nil {
-		w.buckets = make([][]wheelEvent, w.nb)
+		w.buckets = make([][]wheelEvent, wheelBuckets)
 	}
 	k.seq++
-	slot := t & w.mask
+	slot := t & wheelMask
 	w.buckets[slot] = append(w.buckets[slot], wheelEvent{at: at, seq: k.seq, fn: fn})
 	if w.count == 0 || t < w.minTick {
 		w.minTick = t
@@ -168,13 +127,14 @@ func (k *Kernel) wheelAdd(at Time, fn Handler) bool {
 
 // scan returns the earliest non-empty tick without sorting it, advancing the
 // minTick bound as it skips empty slots. The caller must ensure count > 0.
-// The scan is bounded: every live event lies in [tick(now), tick(now)+nb).
+// The scan is bounded: every live event lies in
+// [tick(now), tick(now)+wheelBuckets).
 func (w *timingWheel) scan(now Time) int64 {
-	t := w.tickIndex(now)
+	t := tickIndex(now)
 	if w.minTick > t {
 		t = w.minTick
 	}
-	for len(w.buckets[t&w.mask]) == 0 {
+	for len(w.buckets[t&wheelMask]) == 0 {
 		t++
 	}
 	w.minTick = t
@@ -186,7 +146,7 @@ func (w *timingWheel) scan(now Time) int64 {
 // is due before the bucket even starts, so a bucket still accumulating
 // inserts is not repeatedly re-sorted.
 func (w *timingWheel) prime(t int64) {
-	sortBucket(w.buckets[t&w.mask])
+	sortBucket(w.buckets[t&wheelMask])
 	w.curTick, w.curHead = t, 0
 }
 
@@ -194,7 +154,7 @@ func (w *timingWheel) prime(t int64) {
 // primed the cursor in the same step — it selects the wheel only after
 // comparing the primed bucket's head against the other queues.
 func (w *timingWheel) pop() (Time, Handler) {
-	slot := w.curTick & w.mask
+	slot := w.curTick & wheelMask
 	b := w.buckets[slot]
 	ev := &b[w.curHead]
 	at, fn := ev.at, ev.fn

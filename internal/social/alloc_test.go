@@ -40,7 +40,9 @@ func TestBuildPairGraphSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(wl *workload.Workload) {
-		s.buildPairGraphOn(sim.New(1), wl)
+		if _, _, err := s.buildPairGraphOn(sim.New(1), wl); err != nil {
+			t.Fatal(err)
+		}
 	}
 	run(half) // warm any process-global state
 

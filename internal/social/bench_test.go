@@ -58,7 +58,10 @@ func BenchmarkSocialMillionUsers(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		g, names := s.buildPairGraphOn(k, w)
+		g, names, err := s.buildPairGraphOn(k, w)
+		if err != nil {
+			b.Fatal(err)
+		}
 		rank := g.RankByName(func(id int32) string { return names[id] })
 		labels := g.Communities(s.cfg.CommunityIterations, rank)
 		if k.Processed() != 1_000_000 {

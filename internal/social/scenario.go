@@ -134,7 +134,10 @@ func (s *socialScenario) Run(k *sim.Kernel) (*scenario.Result, error) {
 		return nil, err
 	}
 
-	g, names := s.buildPairGraphOn(k, w)
+	g, names, err := s.buildPairGraphOn(k, w)
+	if err != nil {
+		return nil, err
+	}
 
 	// Rank-based label propagation over the columnar graph: identical
 	// communities to InteractionGraph.Communities on the materialized view
@@ -193,25 +196,20 @@ func (s *socialScenario) Run(k *sim.Kernel) (*scenario.Result, error) {
 // The hot path is columnar: users are interned to dense int32 ids up front,
 // the co-occurrence window is a chronological ring over two flat columns
 // (expired entries are always a prefix, because events fire in time order),
-// and all submissions share one handler walking the sorted arrival column by
-// cursor — so a steady-state event touches no maps, no strings, and
-// allocates nothing. Returns the graph and the id→name table.
-//
-// Arrivals are chained — each firing schedules the next — rather than
-// admitted in one batch: the kernel then holds ONE pending arrival at a
-// time, recycled through the event pool (or the by-value wheel), instead of
-// a million live Events. Chaining is order-safe here precisely because this
-// kernel carries no other event type: firing order is the sorted arrival
-// order either way.
-func (s *socialScenario) buildPairGraphOn(k *sim.Kernel, w *workload.Workload) (*PairGraph, []string) {
+// and all submissions are admitted as one kernel stream whose single handler
+// walks the sorted uid column by cursor — so a steady-state event touches no
+// maps, no strings, and allocates nothing. The arrival times and uids live
+// in two flat columns (12 bytes a submission, no struct padding), and the
+// kernel holds no Event per submission. Returns the graph and the id→name
+// table.
+func (s *socialScenario) buildPairGraphOn(k *sim.Kernel, w *workload.Workload) (*PairGraph, []string, error) {
 	g := NewPairGraph(0, 0)
 	uid := make(map[string]int32, 64)
 	names := make([]string, 0, 64)
-	type arrival struct {
-		at  sim.Time
-		uid int32
+	arrivals := arrivalColumns{
+		at:  make([]sim.Time, len(w.Jobs)),
+		uid: make([]int32, len(w.Jobs)),
 	}
-	arrivals := make([]arrival, len(w.Jobs))
 	for i := range w.Jobs {
 		u := w.Jobs[i].User
 		id, ok := uid[u]
@@ -220,12 +218,13 @@ func (s *socialScenario) buildPairGraphOn(k *sim.Kernel, w *workload.Workload) (
 			uid[u] = id
 			names = append(names, u)
 		}
-		arrivals[i] = arrival{at: sim.Time(w.Jobs[i].Submit), uid: id}
+		arrivals.at[i] = sim.Time(w.Jobs[i].Submit)
+		arrivals.uid[i] = id
 	}
 	// The stable sort keeps same-instant submissions in job order, so the
-	// cursor walk reproduces the firing order of the per-job schedule loop
-	// this replaces (the kernel fires by time, then admission order).
-	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].at < arrivals[j].at })
+	// stream reproduces the firing order of a per-job schedule loop (the
+	// kernel fires by time, then admission order).
+	sort.Stable(arrivals)
 
 	var (
 		recentUID []int32
@@ -233,13 +232,9 @@ func (s *socialScenario) buildPairGraphOn(k *sim.Kernel, w *workload.Workload) (
 		head      int
 		cursor    int
 	)
-	var submit sim.Handler
-	submit = func(now sim.Time) {
-		u := arrivals[cursor].uid
+	err := k.ScheduleStream(arrivals.at, func(now sim.Time) {
+		u := arrivals.uid[cursor]
 		cursor++
-		if cursor < len(arrivals) {
-			k.AfterFunc(arrivals[cursor].at-now, submit)
-		}
 		g.AddActor(u)
 		for head < len(recentUID) && now-recentAt[head] > sim.Time(s.window) {
 			head++
@@ -259,17 +254,24 @@ func (s *socialScenario) buildPairGraphOn(k *sim.Kernel, w *workload.Workload) (
 		}
 		recentUID = append(recentUID, u)
 		recentAt = append(recentAt, now)
-	}
-	if len(arrivals) > 0 {
-		k.AfterFunc(arrivals[0].at, submit)
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	k.Run()
-	return g, names
+	return g, names, nil
 }
 
-// buildGraphOn is the string-keyed view of buildPairGraphOn, kept for the
-// FromWorkload equivalence test: same replay, materialized at the end.
-func (s *socialScenario) buildGraphOn(k *sim.Kernel, w *workload.Workload) *InteractionGraph {
-	g, names := s.buildPairGraphOn(k, w)
-	return g.Materialize(func(id int32) string { return names[id] })
+// arrivalColumns is the submission timeline as two parallel columns,
+// sortable by time in place.
+type arrivalColumns struct {
+	at  []sim.Time
+	uid []int32
+}
+
+func (c arrivalColumns) Len() int           { return len(c.at) }
+func (c arrivalColumns) Less(i, j int) bool { return c.at[i] < c.at[j] }
+func (c arrivalColumns) Swap(i, j int) {
+	c.at[i], c.at[j] = c.at[j], c.at[i]
+	c.uid[i], c.uid[j] = c.uid[j], c.uid[i]
 }

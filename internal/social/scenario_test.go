@@ -49,7 +49,11 @@ func TestOnlineGraphMatchesFromWorkload(t *testing.T) {
 	if err := s.Configure(json.RawMessage(`{"windowSeconds": 300}`)); err != nil {
 		t.Fatal(err)
 	}
-	got := s.buildGraphOn(sim.New(1), w)
+	pg, names, err := s.buildPairGraphOn(sim.New(1), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := pg.Materialize(func(id int32) string { return names[id] })
 	if len(got.Actors()) != len(want.Actors()) {
 		t.Fatalf("actors: %d vs %d", len(got.Actors()), len(want.Actors()))
 	}
