@@ -16,7 +16,6 @@
 //	mcsim -scenario b.json -sweep g.json -distributed \
 //	      -connect http://h1:9137,http://h2:9137 -resume run.ckpt  # remote fleet
 //	mcsim -worker                              # serve cells on stdin/stdout
-//	mcsim -worker -listen :9137                # serve cells over HTTP (see mcsweepd)
 //	mcsim -scenario s.json -telemetry          # attach kernel dispatch counters
 //	mcsim -scenario b.json -sweep g.json -distributed \
 //	      -progress run.ndjson -progress-listen :9138   # typed progress events
@@ -70,8 +69,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -129,8 +126,7 @@ func run(args []string, stdin io.Reader, out, status io.Writer) error {
 		exportTrace  = fs.String("export-trace", "", "write the executed workload to this trace file")
 		traceFormat  = fs.String("trace-format", "", "trace format for -export-trace (default: by extension, else gwf; use .mcw or -trace-format mcw for exact replay)")
 		exportCSV    = fs.String("export-csv", "", "write one CSV per result cell into this directory")
-		worker       = fs.Bool("worker", false, "run as a sweep worker: serve cells on stdin/stdout (or HTTP with -listen)")
-		listen       = fs.String("listen", "", "with -worker: serve the HTTP worker protocol on this address instead of stdio")
+		worker       = fs.Bool("worker", false, "run as a sweep worker: serve cells on stdin/stdout (HTTP workers: cmd/mcsweepd)")
 		distributed  = fs.Bool("distributed", false, "run the sweep through the distributed coordinator")
 		workers      = fs.Int("workers", 2, "with -distributed: number of local subprocess workers")
 		connect      = fs.String("connect", "", "with -distributed: comma-separated worker URLs (replaces subprocess workers)")
@@ -148,9 +144,6 @@ func run(args []string, stdin io.Reader, out, status io.Writer) error {
 		return watchProgress(*watch, out)
 	}
 	if *worker {
-		if *listen != "" {
-			return serveWorker(*listen, status)
-		}
 		return dist.ServeStdio(stdin, out)
 	}
 	if *list {
@@ -214,7 +207,7 @@ func run(args []string, stdin io.Reader, out, status io.Writer) error {
 		}
 		return runDistributed(raw, *workers, *connect, *resume, *shard, *exportCSV, prog, out, status)
 	}
-	env, err := scenario.ParseEnvelope(raw)
+	env, err := scenario.ParseCommon(raw)
 	if err != nil {
 		return err
 	}
@@ -343,17 +336,6 @@ func checkKind(raw json.RawMessage, status io.Writer) error {
 	return nil
 }
 
-// serveWorker runs the HTTP worker daemon (`mcsim -worker -listen`), the
-// same handler cmd/mcsweepd serves.
-func serveWorker(addr string, status io.Writer) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(status, "mcsim: worker serving %d scenario kinds on %s\n", len(scenario.List()), ln.Addr())
-	return http.Serve(ln, dist.NewHandler())
-}
-
 // runDistributed executes a sweep document through the internal/dist
 // coordinator: remote HTTP workers when -connect lists URLs, otherwise
 // local `mcsim -worker` subprocesses. The combined report goes to out
@@ -361,7 +343,7 @@ func serveWorker(addr string, status io.Writer) error {
 // contract. Cells that failed permanently are recorded in the report and
 // summarized as an error after the report is written.
 func runDistributed(raw json.RawMessage, workers int, connect, resume string, shard int, exportCSV string, events obs.Sink, out, status io.Writer) error {
-	env, err := scenario.ParseEnvelope(raw)
+	env, err := scenario.ParseCommon(raw)
 	if err != nil {
 		return err
 	}
@@ -404,9 +386,8 @@ func runDistributed(raw json.RawMessage, workers int, connect, resume string, sh
 	coord, err := dist.NewCoordinator(fleet, dist.Options{
 		ShardSize:  shard,
 		Checkpoint: resume,
-		Events:     events,
+		Events:     obs.Multi(events, &obs.TextSink{W: status}),
 		Heartbeat:  2 * time.Second,
-		Status:     status,
 	})
 	if err != nil {
 		return err
@@ -446,7 +427,7 @@ func composeSweep(base json.RawMessage, gridPath string, parallel int) (json.Raw
 	if err := json.Unmarshal(gridRaw, &grid); err != nil {
 		return nil, fmt.Errorf("sweep grid %s: %w", gridPath, err)
 	}
-	env, err := scenario.ParseEnvelope(base)
+	env, err := scenario.ParseCommon(base)
 	if err != nil {
 		return nil, err
 	}

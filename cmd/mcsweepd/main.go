@@ -24,10 +24,11 @@
 //
 // The daemon executes cells sequentially per request (the coordinator
 // keeps one unit in flight per worker); run one daemon per core — or
-// several behind one load balancer — to scale a host. It is equivalent to
-// `mcsim -worker -listen`, packaged separately so worker hosts need only
-// the execution half of the toolkit and campaign artifacts (grids,
-// checkpoints, reports) stay coordinator-side.
+// several behind one load balancer — to scale a host. It is the toolkit's
+// one HTTP worker (`mcsim -worker` is the stdio worker), packaged
+// separately so worker hosts need only the execution half of the toolkit
+// and campaign artifacts (grids, checkpoints, reports) stay
+// coordinator-side.
 package main
 
 import (

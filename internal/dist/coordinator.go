@@ -17,7 +17,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -66,20 +65,13 @@ type Options struct {
 	// Heartbeat is the period of campaign heartbeat events (done/total,
 	// cumulative kernel events, live workers). Zero disables them.
 	Heartbeat time.Duration
-	// Status, when non-nil, receives human-readable progress lines.
-	//
-	// Deprecated: Status is the legacy free-form text hook, kept as a
-	// drop-in adapter — it now renders the Notable subset of the typed
-	// event stream through obs.TextSink, producing the same lines as
-	// before. New consumers should use Events.
-	Status io.Writer
 }
 
 // Coordinator runs sweep campaigns across a fleet of workers.
 type Coordinator struct {
 	workers []Worker
 	opts    Options
-	sink    obs.Sink // combined Events + Status adapter; nil when disabled
+	sink    obs.Sink // opts.Events; nil when disabled
 
 	// Campaign progress, owned by the scheduler goroutine during dispatch
 	// (read by Run before/after): cells resolved, cells overall, cumulative
@@ -102,11 +94,7 @@ func NewCoordinator(workers []Worker, opts Options) (*Coordinator, error) {
 	} else if opts.Retries < 0 {
 		opts.Retries = 0
 	}
-	var status obs.Sink
-	if opts.Status != nil {
-		status = &obs.TextSink{W: opts.Status}
-	}
-	return &Coordinator{workers: workers, opts: opts, sink: obs.Multi(opts.Events, status)}, nil
+	return &Coordinator{workers: workers, opts: opts, sink: opts.Events}, nil
 }
 
 // emit hands one progress event to the combined sink, if any. Events are
@@ -204,7 +192,7 @@ func (c *Coordinator) Run(ctx context.Context, raw json.RawMessage) (*scenario.R
 // run would carry, no metrics, and the typed failure as labels.
 func failureEnvelope(spec CellSpec, f Failure) *scenario.Result {
 	kind := scenario.DefaultKind
-	if env, err := scenario.ParseEnvelope(spec.Doc); err == nil {
+	if env, err := scenario.ParseCommon(spec.Doc); err == nil {
 		kind = env.Kind
 	}
 	return &scenario.Result{

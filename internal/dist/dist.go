@@ -32,8 +32,8 @@
 //     without recomputation (checkpoint.go).
 //   - Worker (worker.go): the execution side. Local runs cells in-process;
 //     Subprocess drives one `mcsim -worker` child over pipes; HTTP
-//     (http.go) posts units to a daemon (`mcsweepd`, or `mcsim -worker
-//     -listen`) and streams results back.
+//     (http.go) posts units to the `mcsweepd` daemon and streams results
+//     back.
 //   - Protocol (protocol.go): WorkUnit in, one CellResult per cell out —
 //     identical messages on pipes and on HTTP, so every transport is
 //     exercised by the same tests.

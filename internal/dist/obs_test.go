@@ -1,8 +1,8 @@
 package dist_test
 
 // Observability contract of the campaign layer: the coordinator narrates
-// every lifecycle transition as typed obs.Events, the deprecated Status
-// writer still prints the exact legacy lines, and the daemon's /metrics
+// every lifecycle transition as typed obs.Events, a TextSink composed into
+// the event stream prints the exact legacy status lines, and the daemon's /metrics
 // and /healthz surfaces report what actually ran. None of it may change a
 // report byte — the determinism side is covered by the byte-identity tests
 // in dist_test.go running with sinks attached here.
@@ -139,9 +139,10 @@ func TestCoordinatorHeartbeatCarriesProgress(t *testing.T) {
 	}
 }
 
-// TestStatusAdapterKeepsLegacyLines: the deprecated Status writer must keep
-// printing the exact free-form lines it always did — retries and permanent
-// failures — and nothing else, even though it is now fed typed events.
+// TestStatusAdapterKeepsLegacyLines: a TextSink composed with another sink
+// through obs.Multi — how mcsim writes its status lines — must print the
+// exact free-form lines the old status writer did (retries and permanent
+// failures) and nothing else, while the other sink still sees every event.
 func TestStatusAdapterKeepsLegacyLines(t *testing.T) {
 	doc := `{
 	  "kind": "sweep", "seed": 5,
@@ -149,9 +150,14 @@ func TestStatusAdapterKeepsLegacyLines(t *testing.T) {
 	  "grid": {"/instantShare": [0.2, 9.5]}
 	}`
 	var buf bytes.Buffer
-	_, fails := runCoordinator(t, localFleet(1), dist.Options{Status: &buf}, doc)
+	rec := &recordingSink{}
+	opts := dist.Options{Events: obs.Multi(rec, &obs.TextSink{W: &buf})}
+	_, fails := runCoordinator(t, localFleet(1), opts, doc)
 	if len(fails) != 1 {
 		t.Fatalf("failures = %+v, want the poison cell", fails)
+	}
+	if len(rec.byType(obs.CellFinished)) == 0 {
+		t.Error("the composed recording sink saw no cell events")
 	}
 	out := buf.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")

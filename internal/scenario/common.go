@@ -33,7 +33,7 @@ type WorkloadJSON struct {
 
 // Common is the typed header of every scenario document. Adapters embed it
 // at the top of their ScenarioJSON instead of re-declaring the fields; the
-// registry front half (ParseEnvelope / New / RunDocument), the sweep
+// registry front half (ParseCommon / New / RunDocument), the sweep
 // expander, and internal/dist all route through it.
 type Common struct {
 	// Kind selects the registered scenario; empty means DefaultKind for
@@ -54,20 +54,13 @@ type Common struct {
 	Failures *FailuresJSON `json:"failures"`
 }
 
-// Envelope is the dispatch header shared by every scenario document.
-//
-// Deprecated: Envelope is the pre-Common name for the same header and is
-// kept as an alias for callers that only dispatch on Kind and Seed; new code
-// should use Common directly.
-type Envelope = Common
-
 // DefaultKind is assumed when a scenario document carries no "kind" field.
 const DefaultKind = "datacenter"
 
 // ParseCommon extracts the typed document header, applying the
 // backward-compatible default kind. It is the one parse point for the
 // envelope: runners, the sweep expander, and distributed coordinators all
-// call it (directly or through the ParseEnvelope alias).
+// call it.
 func ParseCommon(raw json.RawMessage) (Common, error) {
 	var c Common
 	if err := json.Unmarshal(raw, &c); err != nil {
@@ -77,12 +70,6 @@ func ParseCommon(raw json.RawMessage) (Common, error) {
 		c.Kind = DefaultKind
 	}
 	return c, nil
-}
-
-// ParseEnvelope extracts the dispatch header from a scenario document.
-// It is ParseCommon under the pre-Common name.
-func ParseEnvelope(raw json.RawMessage) (Envelope, error) {
-	return ParseCommon(raw)
 }
 
 // RejectParallel is the guard for kinds with no intra-run shard axis: a
