@@ -9,8 +9,8 @@
 // a pooled fire-and-forget event class, an O(1) immediate ring for
 // zero-delay events, a timing wheel for the dense short-delay mix (proven
 // byte-identical to the heap path by a differential fuzz harness), and
-// single-pass batch admission over a hand-rolled binary heap — a pluggable
-// scenario registry
+// one zero-allocation stream admission path for every pre-drawn timeline,
+// all merged with a hand-rolled binary heap — a pluggable scenario registry
 // (internal/scenario) that unifies every workload domain behind one
 // interface and one runner, and, on top of them, every substrate the
 // paper's programme requires: workload and trace models, a datacenter

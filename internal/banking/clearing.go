@@ -235,7 +235,7 @@ func RunClearingOn(k *sim.Kernel, pipeline []Stage, txs []Transaction, disc Queu
 
 	// Admit the arrival stream: one sorted kernel stream sharing a single
 	// handler and a cursor — zero per-arrival allocation, with firing order
-	// identical to the per-transaction batch it replaces (same contiguous
+	// identical to scheduling each transaction in turn (same contiguous
 	// sequence block; see sim.ScheduleStream).
 	at := make([]sim.Time, len(txs))
 	for i := range txs {

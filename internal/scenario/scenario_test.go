@@ -107,7 +107,7 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestParseCommonDefaultsKind(t *testing.T) {
+func TestParseEnvelopeDefaultsKind(t *testing.T) {
 	env, err := ParseCommon(json.RawMessage(`{"seed": 12, "machines": 4}`))
 	if err != nil {
 		t.Fatal(err)

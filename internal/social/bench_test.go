@@ -26,7 +26,7 @@ func liveHeapMB(keep ...any) float64 {
 // BenchmarkSocialMillionUsers exercises the columnar path at the north
 // star's scale: one million submissions over a one-million-user population —
 // workload generation from the kernel RNG (exactly as the scenario Run
-// does), the chained co-occurrence replay into the PairGraph, and rank-based
+// does), the streamed co-occurrence replay into the PairGraph, and rank-based
 // label propagation. events/sec counts kernel events (one per submission).
 // Together with BenchmarkGamingMillionSessions (root bench_test.go) the
 // events/sec and peak-RSS numbers are pinned in BENCH_BASELINE.json and

@@ -10,7 +10,6 @@ package social
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"mcs/internal/scenario"
@@ -197,19 +196,19 @@ func (s *socialScenario) Run(k *sim.Kernel) (*scenario.Result, error) {
 // the co-occurrence window is a chronological ring over two flat columns
 // (expired entries are always a prefix, because events fire in time order),
 // and all submissions are admitted as one kernel stream whose single handler
-// walks the sorted uid column by cursor — so a steady-state event touches no
-// maps, no strings, and allocates nothing. The arrival times and uids live
-// in two flat columns (12 bytes a submission, no struct padding), and the
-// kernel holds no Event per submission. Returns the graph and the id→name
-// table.
+// walks the uid column by cursor — so a steady-state event touches no maps,
+// no strings, and allocates nothing. The arrival times and uids live in two
+// flat columns (12 bytes a submission), and the kernel holds no Event per
+// submission. Returns the graph and the id→name table.
 func (s *socialScenario) buildPairGraphOn(k *sim.Kernel, w *workload.Workload) (*PairGraph, []string, error) {
 	g := NewPairGraph(0, 0)
 	uid := make(map[string]int32, 64)
 	names := make([]string, 0, 64)
-	arrivals := arrivalColumns{
-		at:  make([]sim.Time, len(w.Jobs)),
-		uid: make([]int32, len(w.Jobs)),
-	}
+	// A valid workload is ordered by submit time (Workload.Validate), so the
+	// times column is already the sorted stream, same-instant jobs in job
+	// order; ScheduleStream rejects it loudly if not.
+	at := make([]sim.Time, len(w.Jobs))
+	uids := make([]int32, len(w.Jobs))
 	for i := range w.Jobs {
 		u := w.Jobs[i].User
 		id, ok := uid[u]
@@ -218,13 +217,9 @@ func (s *socialScenario) buildPairGraphOn(k *sim.Kernel, w *workload.Workload) (
 			uid[u] = id
 			names = append(names, u)
 		}
-		arrivals.at[i] = sim.Time(w.Jobs[i].Submit)
-		arrivals.uid[i] = id
+		at[i] = sim.Time(w.Jobs[i].Submit)
+		uids[i] = id
 	}
-	// The stable sort keeps same-instant submissions in job order, so the
-	// stream reproduces the firing order of a per-job schedule loop (the
-	// kernel fires by time, then admission order).
-	sort.Stable(arrivals)
 
 	var (
 		recentUID []int32
@@ -232,8 +227,8 @@ func (s *socialScenario) buildPairGraphOn(k *sim.Kernel, w *workload.Workload) (
 		head      int
 		cursor    int
 	)
-	err := k.ScheduleStream(arrivals.at, func(now sim.Time) {
-		u := arrivals.uid[cursor]
+	err := k.ScheduleStream(at, func(now sim.Time) {
+		u := uids[cursor]
 		cursor++
 		g.AddActor(u)
 		for head < len(recentUID) && now-recentAt[head] > sim.Time(s.window) {
@@ -260,18 +255,4 @@ func (s *socialScenario) buildPairGraphOn(k *sim.Kernel, w *workload.Workload) (
 	}
 	k.Run()
 	return g, names, nil
-}
-
-// arrivalColumns is the submission timeline as two parallel columns,
-// sortable by time in place.
-type arrivalColumns struct {
-	at  []sim.Time
-	uid []int32
-}
-
-func (c arrivalColumns) Len() int           { return len(c.at) }
-func (c arrivalColumns) Less(i, j int) bool { return c.at[i] < c.at[j] }
-func (c arrivalColumns) Swap(i, j int) {
-	c.at[i], c.at[j] = c.at[j], c.at[i]
-	c.uid[i], c.uid[j] = c.uid[j], c.uid[i]
 }
