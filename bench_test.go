@@ -232,6 +232,22 @@ func BenchmarkBankingMillionTransactions(b *testing.B) {
 	}
 }
 
+// BenchmarkBankingGenerateWorkload times banking's transaction synthesis
+// at the size of the perfbench clearing document (300k transactions, half
+// instant) — the set-up phase BenchmarkBankingMillionTransactions keeps
+// outside its timer. Each iteration draws, sorts and materializes the
+// whole workload from a fresh RNG; ns/op is pinned in BENCH_BASELINE.json
+// and gated by benchguard in CI.
+func BenchmarkBankingGenerateWorkload(b *testing.B) {
+	const n = 300_000
+	for i := 0; i < b.N; i++ {
+		w := banking.GenerateWorkload(n, 0.5, rand.New(rand.NewSource(int64(i)+1)))
+		if len(w.Jobs) != n {
+			b.Fatalf("generated %d jobs, want %d", len(w.Jobs), n)
+		}
+	}
+}
+
 // BenchmarkSocialMillionUsers lives in internal/social (it holds the
 // columnar engine state live for the peak-RSS measure); the CI bench job
 // runs both million-entity benchmarks under the same benchguard gate.

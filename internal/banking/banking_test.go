@@ -3,6 +3,7 @@ package banking
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -237,6 +238,28 @@ func TestRunClearingValidation(t *testing.T) {
 	res, err := RunClearing(fastPipeline(), nil, FCFS, 1)
 	if err != nil || res.Completed != 0 {
 		t.Errorf("empty workload: %v %+v", err, res)
+	}
+}
+
+// TestRunClearingFailsOnExhaustedBudget: a run that hits the event budget
+// before every transaction settles returns an error naming the events
+// fired and transactions settled, never a partial report.
+func TestRunClearingFailsOnExhaustedBudget(t *testing.T) {
+	defer func(b uint64) { clearingEventBudget = b }(clearingEventBudget)
+	clearingEventBudget = 1000
+	txs := GenerateTransactions(2000, 0.5, 11)
+	res, err := RunClearing(DefaultPipeline(), txs, EDF, 11)
+	if err == nil {
+		t.Fatalf("truncated run returned a report: %+v", res)
+	}
+	for _, want := range []string{"after 1000 events", "of 2000 transactions settled"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	clearingEventBudget = 1_000_000
+	if res, err := RunClearing(DefaultPipeline(), txs, EDF, 11); err != nil || res.Completed != len(txs) {
+		t.Fatalf("run within budget: %v %+v", err, res)
 	}
 }
 

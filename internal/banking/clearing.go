@@ -102,6 +102,11 @@ type station struct {
 	readmitH sim.Handler
 }
 
+// clearingEventBudget caps the kernel events one clearing run may fire
+// (~8.35 per transaction, so ~2.4M transactions fit); a run that exhausts
+// it fails rather than report on the transactions settled so far.
+var clearingEventBudget uint64 = 20_000_000
+
 // RunClearing pushes the transactions through the pipeline under the given
 // discipline and returns latency/deadline statistics. Transactions must be
 // sorted by arrival time (GenerateTransactions and TransactionsFromWorkload
@@ -255,8 +260,12 @@ func RunClearingOn(k *sim.Kernel, pipeline []Stage, txs []Transaction, disc Queu
 	if err := k.ScheduleStream(at, admit); err != nil {
 		return nil, fmt.Errorf("banking: schedule arrivals: %w", err)
 	}
-	k.SetMaxEvents(20_000_000)
-	k.Run()
+	k.SetMaxEvents(clearingEventBudget)
+	fired := k.Run()
+	if res.Completed < len(txs) {
+		return nil, fmt.Errorf("banking: event budget of %d exhausted after %d events with %d of %d transactions settled",
+			clearingEventBudget, fired, res.Completed, len(txs))
+	}
 
 	if res.Completed == 0 {
 		return res, nil

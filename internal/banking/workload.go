@@ -25,8 +25,9 @@ package banking
 // times to milliseconds and is therefore lossy for this stream too.
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"mcs/internal/sim"
@@ -44,11 +45,19 @@ const (
 // a workload: diurnal arrivals with an end-of-business clearing spike
 // (17:00–18:00 holds 20% of the day), lognormal amounts, and an
 // instantShare mix of instant (10s deadline) versus same-hour (1h)
-// payments. Jobs come out sorted by submit time.
+// payments. Jobs come out sorted by submit time, same-instant jobs in
+// draw order.
+//
+// Synthesis fills two preallocated columns in draw order — the jobs, and
+// one shared task slice of which every job's Tasks is a cap-1 window — so
+// the allocation count is constant in n. The jobs are then sorted on
+// (Submit, ID): IDs are unique and follow draw order, so the unstable sort
+// yields exactly the order a stable sort on submit time would.
 func GenerateWorkload(n int, instantShare float64, r *rand.Rand) *workload.Workload {
 	day := 24 * time.Hour
-	w := &workload.Workload{Jobs: make([]workload.Job, 0, n)}
-	for i := 0; i < n; i++ {
+	jobs := make([]workload.Job, n)
+	tasks := make([]workload.Task, n)
+	for i := range jobs {
 		// Arrival: 80% spread diurnally, 20% in the 17:00–18:00 spike.
 		var at time.Duration
 		if r.Float64() < 0.2 {
@@ -67,29 +76,35 @@ func GenerateWorkload(n int, instantShare float64, r *rand.Rand) *workload.Workl
 			cents = 1
 		}
 		id := workload.JobID(i + 1)
-		w.Jobs = append(w.Jobs, workload.Job{
+		tasks[i] = workload.Task{
+			ID:       workload.TaskID(i + 1),
+			Job:      id,
+			Cores:    1,
+			MemoryMB: int(cents),
+			Runtime:  ddl,
+		}
+		jobs[i] = workload.Job{
 			ID:       id,
 			User:     class,
 			Submit:   at,
 			Deadline: at + ddl,
-			Tasks: []workload.Task{{
-				ID:       workload.TaskID(i + 1),
-				Job:      id,
-				Cores:    1,
-				MemoryMB: int(cents),
-				Runtime:  ddl,
-			}},
-		})
+			Tasks:    tasks[i : i+1 : i+1],
+		}
 	}
-	sort.SliceStable(w.Jobs, func(i, j int) bool { return w.Jobs[i].Submit < w.Jobs[j].Submit })
-	return w
+	slices.SortFunc(jobs, func(a, b workload.Job) int {
+		if c := cmp.Compare(a.Submit, b.Submit); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	return &workload.Workload{Jobs: jobs}
 }
 
 // TransactionsFromWorkload reconstructs the transaction stream from its
 // workload form (see the field mapping above). Jobs without tasks get the
-// minimum amount; the stream is (re)sorted by arrival, the order
-// RunClearing requires, so hand-built or converted traces need no
-// pre-sorting.
+// minimum amount; a stream not already in arrival order is stably
+// re-sorted by arrival, the order RunClearing requires, so hand-built or
+// converted traces need no pre-sorting.
 func TransactionsFromWorkload(w *workload.Workload) []Transaction {
 	txs := make([]Transaction, 0, len(w.Jobs))
 	for i := range w.Jobs {
@@ -105,7 +120,10 @@ func TransactionsFromWorkload(w *workload.Workload) []Transaction {
 			Cents:    cents,
 		})
 	}
-	sort.SliceStable(txs, func(i, j int) bool { return txs[i].Arrive < txs[j].Arrive })
+	byArrival := func(a, b Transaction) int { return cmp.Compare(a.Arrive, b.Arrive) }
+	if !slices.IsSortedFunc(txs, byArrival) {
+		slices.SortStableFunc(txs, byArrival)
+	}
 	return txs
 }
 

@@ -1,10 +1,15 @@
 package banking
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime/debug"
+	"sort"
 	"testing"
 	"time"
 
+	"mcs/internal/stats"
 	"mcs/internal/workload"
 )
 
@@ -80,6 +85,143 @@ func TestTransactionsFromWorkloadDefaults(t *testing.T) {
 	for _, tx := range txs {
 		if tx.Cents != 1 {
 			t.Errorf("tx %d amount %d, want minimum 1", tx.ID, tx.Cents)
+		}
+	}
+}
+
+// generateWorkloadReference is GenerateWorkload as it was before
+// synthesis filled preallocated columns, kept verbatim as the differential
+// oracle: one Job with its own one-task slice per draw, then a stable sort
+// by submit time.
+func generateWorkloadReference(n int, instantShare float64, r *rand.Rand) *workload.Workload {
+	day := 24 * time.Hour
+	w := &workload.Workload{Jobs: make([]workload.Job, 0, n)}
+	for i := 0; i < n; i++ {
+		// Arrival: 80% spread diurnally, 20% in the 17:00–18:00 spike.
+		var at time.Duration
+		if r.Float64() < 0.2 {
+			at = 17*time.Hour + time.Duration(r.Float64()*float64(time.Hour))
+		} else {
+			at = time.Duration(r.Float64() * float64(day))
+		}
+		ddl := standardDeadline
+		class := "standard"
+		if r.Float64() < instantShare {
+			ddl = instantDeadline
+			class = "instant"
+		}
+		cents := int64(stats.LogNormal{Mu: 8, Sigma: 1.5}.Sample(r))
+		if cents < 1 {
+			cents = 1
+		}
+		id := workload.JobID(i + 1)
+		w.Jobs = append(w.Jobs, workload.Job{
+			ID:       id,
+			User:     class,
+			Submit:   at,
+			Deadline: at + ddl,
+			Tasks: []workload.Task{{
+				ID:       workload.TaskID(i + 1),
+				Job:      id,
+				Cores:    1,
+				MemoryMB: int(cents),
+				Runtime:  ddl,
+			}},
+		})
+	}
+	sort.SliceStable(w.Jobs, func(i, j int) bool { return w.Jobs[i].Submit < w.Jobs[j].Submit })
+	return w
+}
+
+// fewValuesSource is a rand.Source that only ever yields one of eight
+// fixed 63-bit values, so every Float64 draw takes one of eight values and
+// submit times collide constantly — the regime where the (Submit, ID)
+// tie-break must reproduce the stable sort's draw order.
+type fewValuesSource struct {
+	vals [8]int64
+	pick *rand.Rand
+}
+
+func newFewValuesSource(seed int64) *fewValuesSource {
+	s := &fewValuesSource{pick: rand.New(rand.NewSource(seed))}
+	for i := range s.vals {
+		s.vals[i] = s.pick.Int63()
+	}
+	return s
+}
+
+func (s *fewValuesSource) Int63() int64 { return s.vals[s.pick.Intn(len(s.vals))] }
+func (s *fewValuesSource) Seed(int64)   {}
+
+// TestGenerateWorkloadMatchesReference: the column-filling synthesis yields
+// exactly the old job-at-a-time workload — same RNG draws, same order
+// (including same-instant ties), same IDs, same field values — across
+// sizes, deadline mixes, seeds, and a tie-heavy source.
+func TestGenerateWorkloadMatchesReference(t *testing.T) {
+	for _, source := range []struct {
+		name string
+		src  func(seed int64) rand.Source
+	}{
+		{"uniform", func(seed int64) rand.Source { return rand.NewSource(seed) }},
+		{"tie-heavy", func(seed int64) rand.Source { return newFewValuesSource(seed) }},
+	} {
+		name, src := source.name, source.src
+		for _, n := range []int{0, 1, 2, 1000, 50_000} {
+			for _, share := range []float64{0, 0.5, 1} {
+				for _, seed := range []int64{1, 7, 42} {
+					t.Run(fmt.Sprintf("%s/n=%d/share=%v/seed=%d", name, n, share, seed), func(t *testing.T) {
+						want := generateWorkloadReference(n, share, rand.New(src(seed)))
+						got := GenerateWorkload(n, share, rand.New(src(seed)))
+						if !reflect.DeepEqual(got, want) {
+							for i := range want.Jobs {
+								if i >= len(got.Jobs) || !reflect.DeepEqual(got.Jobs[i], want.Jobs[i]) {
+									t.Fatalf("job %d diverges from the reference", i)
+								}
+							}
+							t.Fatalf("workload diverges from the reference (%d vs %d jobs)", len(got.Jobs), len(want.Jobs))
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestGenerateWorkloadAllocsConstant: synthesis allocates a fixed number
+// of objects (the job and task columns, the workload) whatever the
+// transaction count — no allocation per job. The collector is paused for
+// the probe: its background work is counted as mallocs too and would make
+// the two sizes differ by noise.
+func TestGenerateWorkloadAllocsConstant(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			GenerateWorkload(n, 0.5, rand.New(rand.NewSource(3)))
+		})
+	}
+	small, large := allocs(10_000), allocs(40_000)
+	if small != large || large > 8 {
+		t.Errorf("GenerateWorkload allocates %.0f objects at n=10k and %.0f at n=40k; want the same small constant", small, large)
+	}
+}
+
+// TestTransactionsFromWorkloadStableOrder: same-instant arrivals keep
+// their workload order, whether the stream is already in arrival order
+// (no re-sort) or not (stable re-sort).
+func TestTransactionsFromWorkloadStableOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		jobs []workload.Job
+		want []int
+	}{
+		{"sorted", []workload.Job{{ID: 3, Submit: time.Second}, {ID: 1, Submit: time.Second}, {ID: 2, Submit: time.Second}, {ID: 4, Submit: 2 * time.Second}}, []int{3, 1, 2, 4}},
+		{"unsorted", []workload.Job{{ID: 4, Submit: 2 * time.Second}, {ID: 3, Submit: time.Second}, {ID: 1, Submit: time.Second}, {ID: 2, Submit: time.Second}}, []int{3, 1, 2, 4}},
+	} {
+		txs := TransactionsFromWorkload(&workload.Workload{Jobs: tc.jobs})
+		for i, id := range tc.want {
+			if txs[i].ID != id {
+				t.Fatalf("%s: order = %+v, want IDs %v", tc.name, txs, tc.want)
+			}
 		}
 	}
 }

@@ -193,6 +193,34 @@ func TestServerMetricsAndHealthz(t *testing.T) {
 		t.Fatalf("transport returned %d results, want 2", len(got))
 	}
 
+	// The last result line reaches the client before handleRun's deferred
+	// busy decrement runs, so wait (bounded) for the daemon to go idle
+	// before asserting the in-flight and busy-worker tallies.
+	type healthz struct {
+		OK             bool     `json:"ok"`
+		Kinds          []string `json:"kinds"`
+		UptimeSeconds  *int64   `json:"uptimeSeconds"`
+		InFlight       *int64   `json:"inFlight"`
+		CellsCompleted *int64   `json:"cellsCompleted"`
+		CellsFailed    *int64   `json:"cellsFailed"`
+	}
+	var health healthz
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		hresp, err := http.Get(srv.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		health = healthz{}
+		err = json.NewDecoder(hresp.Body).Decode(&health)
+		hresp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if health.InFlight == nil || *health.InFlight == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -214,22 +242,6 @@ func TestServerMetricsAndHealthz(t *testing.T) {
 		}
 	}
 
-	hresp, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var health struct {
-		OK             bool     `json:"ok"`
-		Kinds          []string `json:"kinds"`
-		UptimeSeconds  *int64   `json:"uptimeSeconds"`
-		InFlight       *int64   `json:"inFlight"`
-		CellsCompleted *int64   `json:"cellsCompleted"`
-		CellsFailed    *int64   `json:"cellsFailed"`
-	}
-	if err := json.NewDecoder(hresp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	hresp.Body.Close()
 	if !health.OK || len(health.Kinds) == 0 {
 		t.Errorf("healthz lost its legacy fields: %+v", health)
 	}

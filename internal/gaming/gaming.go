@@ -9,10 +9,11 @@
 package gaming
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"mcs/internal/failure"
@@ -321,7 +322,7 @@ func RunWorldOn(k *sim.Kernel, cfg WorldConfig) (*WorldResult, error) {
 		}
 		arrivals = append(arrivals, arrival{at: sim.Time(j.Submit), session: j.Tasks[0].Runtime})
 	}
-	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].at < arrivals[j].at })
+	slices.SortStableFunc(arrivals, func(a, b arrival) int { return cmp.Compare(a.at, b.at) })
 	cursor := 0
 	arrive := func(now sim.Time) {
 		session := arrivals[cursor].session

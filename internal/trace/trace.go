@@ -15,10 +15,11 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -135,11 +136,11 @@ func Read(in io.Reader) (*workload.Workload, error) {
 	for _, j := range jobs {
 		w.Jobs = append(w.Jobs, *j)
 	}
-	sort.Slice(w.Jobs, func(i, k int) bool {
-		if w.Jobs[i].Submit != w.Jobs[k].Submit {
-			return w.Jobs[i].Submit < w.Jobs[k].Submit
+	slices.SortFunc(w.Jobs, func(a, b workload.Job) int {
+		if c := cmp.Compare(a.Submit, b.Submit); c != 0 {
+			return c
 		}
-		return w.Jobs[i].ID < w.Jobs[k].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	return w, nil
 }
