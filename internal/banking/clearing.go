@@ -103,8 +103,9 @@ type station struct {
 }
 
 // clearingEventBudget caps the kernel events one clearing run may fire
-// (~8.35 per transaction, so ~2.4M transactions fit); a run that exhausts
-// it fails rather than report on the transactions settled so far.
+// (a run fires ~7–8 per transaction, so about 2.5M transactions fit); a
+// run that exhausts it fails rather than report on the transactions
+// settled so far.
 var clearingEventBudget uint64 = 20_000_000
 
 // RunClearing pushes the transactions through the pipeline under the given
