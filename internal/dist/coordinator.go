@@ -444,7 +444,10 @@ func (c *Coordinator) dispatch(ctx context.Context, remaining []CellSpec, result
 					continue
 				}
 				fl.dispatch--
-				if ev.err != nil && !retired[ev.worker] {
+				// Once the campaign is finishing the coordinator has
+				// canceled the stragglers itself: their cancellation
+				// errors release the worker, they do not mean it was lost.
+				if ev.err != nil && !finishing && !retired[ev.worker] {
 					retired[ev.worker] = true
 					c.emit(obs.Event{Type: obs.WorkerRetired, Cell: -1, Worker: c.workers[ev.worker].Name(), Err: ev.err.Error()})
 				}

@@ -109,6 +109,67 @@ func TestCoordinatorEmitsTypedEventSequence(t *testing.T) {
 	}
 }
 
+// stallWorker holds its unit until the coordinator cancels it: a
+// straggler whose cells a speculative clone finishes elsewhere.
+type stallWorker struct {
+	once    sync.Once
+	started chan struct{}
+}
+
+func (s *stallWorker) Name() string { return "stall" }
+func (s *stallWorker) Run(ctx context.Context, _ dist.WorkUnit, _ func(dist.CellResult)) error {
+	s.once.Do(func() { close(s.started) })
+	<-ctx.Done()
+	return ctx.Err()
+}
+func (s *stallWorker) Close() error { return nil }
+
+// afterStallWorker starts work only once the stall worker holds a unit.
+type afterStallWorker struct {
+	inner dist.Local
+	stall *stallWorker
+}
+
+func (a *afterStallWorker) Name() string { return a.inner.Name() }
+func (a *afterStallWorker) Run(ctx context.Context, unit dist.WorkUnit, emit func(dist.CellResult)) error {
+	select {
+	case <-a.stall.started:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	return a.inner.Run(ctx, unit, emit)
+}
+func (a *afterStallWorker) Close() error { return nil }
+
+// TestCanceledStragglerRetiresWithoutError: when the campaign finishes and
+// the coordinator cancels a straggler's unit, that worker is released,
+// not lost — its worker-retired event carries no error.
+func TestCanceledStragglerRetiresWithoutError(t *testing.T) {
+	want := inProcessBytes(t, sweepDoc)
+	stall := &stallWorker{started: make(chan struct{})}
+	fleet := []dist.Worker{stall, &afterStallWorker{inner: dist.Local{ID: 1}, stall: stall}}
+	sink := &recordingSink{}
+	res, fails := runCoordinator(t, fleet, dist.Options{ShardSize: 1, Events: sink}, sweepDoc)
+	if len(fails) != 0 {
+		t.Fatalf("unexpected failures: %+v", fails)
+	}
+	if got := marshal(t, res); got != want {
+		t.Errorf("report diverged:\n got %s\nwant %s", got, want)
+	}
+	if len(sink.byType(obs.CellSpeculated)) == 0 {
+		t.Fatal("the stalled unit was never cloned; the straggler path did not run")
+	}
+	retired := sink.byType(obs.WorkerRetired)
+	if len(retired) != 2 {
+		t.Fatalf("worker-retired count = %d, want 2", len(retired))
+	}
+	for _, ev := range retired {
+		if ev.Err != "" {
+			t.Errorf("canceled straggler retired with error: %+v", ev)
+		}
+	}
+}
+
 // slowWorker stretches the campaign so heartbeats get a chance to fire.
 type slowWorker struct{ inner dist.Local }
 
