@@ -202,6 +202,16 @@ func (k *Kernel) ScheduleAt(at Time, fn Handler) (*Event, error) {
 	return ev, nil
 }
 
+// rearm re-queues a handle event that has already fired, for absolute time
+// at. It stamps the event exactly as ScheduleAt stamps a fresh one, so
+// firing order, Pending and Cancel behave as if a new event had been
+// scheduled, without the allocation.
+func (k *Kernel) rearm(ev *Event, at Time, fn Handler) {
+	k.seq++
+	ev.at, ev.seq, ev.fn, ev.fired = at, k.seq, fn, false
+	k.queue.push(ev)
+}
+
 // MustSchedule is Schedule for callers that know delay is non-negative; it
 // panics on programmer error instead of returning one.
 func (k *Kernel) MustSchedule(delay Time, fn Handler) *Event {

@@ -12,6 +12,7 @@ type Ticker struct {
 	k       *Kernel
 	period  Time
 	fn      Handler
+	tick    Handler
 	next    *Event
 	stopped bool
 }
@@ -24,20 +25,19 @@ func NewTicker(k *Kernel, period Time, fn Handler) *Ticker {
 		t.stopped = true
 		return t
 	}
-	t.arm()
-	return t
-}
-
-func (t *Ticker) arm() {
-	t.next = t.k.MustSchedule(t.period, func(now Time) {
+	t.tick = func(now Time) {
 		if t.stopped {
 			return
 		}
 		t.fn(now)
 		if !t.stopped {
-			t.arm()
+			// The handle just fired, so nothing else references it: re-arm
+			// it in place rather than allocating a fresh event per tick.
+			t.k.rearm(t.next, now+t.period, t.tick)
 		}
-	})
+	}
+	t.next = k.MustSchedule(period, t.tick)
+	return t
 }
 
 // Stop halts the ticker; no further ticks fire.
