@@ -137,6 +137,18 @@ type engine struct {
 	queueSeries, demandSeries, runningSeries, utilSeries *stats.TimeSeries
 	runningCores                                         int
 
+	// machineGen counts machine-state changes: it is bumped right after
+	// each Allocate, Release, SetDown and SetAsleep the engine makes, and
+	// nothing else mutates a machine during a run. Cluster power and
+	// utilization are pure functions of machine state, so a value computed
+	// at generation g stays exact until the generation moves; powerGen and
+	// utilGen record the generation lastPowerW and lastUtil were computed
+	// at. This keeps the monitor tick, which is most of a cell's events,
+	// from re-summing every machine.
+	machineGen        uint64
+	powerGen, utilGen uint64
+	lastUtil          float64
+
 	energyJoules float64
 	lastPowerAt  time.Duration
 	lastPowerW   float64
@@ -207,20 +219,19 @@ func RunOn(k *sim.Kernel, sc *Scenario) (*Result, error) {
 	}
 
 	e := &engine{
-		k:             k,
-		scenario:      sc,
-		cfg:           cfg,
-		records:       make(map[workload.TaskID]*TaskRecord),
-		tasks:         make(map[workload.TaskID]*workload.Task),
-		jobs:          make(map[workload.JobID]*workload.Job),
-		remaining:     make(map[workload.TaskID]int),
-		dependents:    make(map[workload.TaskID][]workload.TaskID),
-		running:       make(map[workload.TaskID]*running),
-		maxRetries:    maxRetries,
-		queueSeries:   stats.NewTimeSeries(),
-		demandSeries:  stats.NewTimeSeries(),
-		runningSeries: stats.NewTimeSeries(),
-		utilSeries:    stats.NewTimeSeries(),
+		k:          k,
+		scenario:   sc,
+		cfg:        cfg,
+		records:    make(map[workload.TaskID]*TaskRecord),
+		tasks:      make(map[workload.TaskID]*workload.Task),
+		jobs:       make(map[workload.JobID]*workload.Job),
+		remaining:  make(map[workload.TaskID]int),
+		dependents: make(map[workload.TaskID][]workload.TaskID),
+		running:    make(map[workload.TaskID]*running),
+		maxRetries: maxRetries,
+		// Generation 1 differs from the zero powerGen and utilGen, so the
+		// first read computes.
+		machineGen: 1,
 	}
 	e.horizon = sc.Horizon
 	if e.horizon == 0 {
@@ -308,11 +319,18 @@ func RunOn(k *sim.Kernel, sc *Scenario) (*Result, error) {
 		})
 	}
 
-	// Monitoring.
+	// Monitoring: one point per tick in each series, reserved up front but
+	// capped, because a drained run's internal horizon can be far longer
+	// than the run needs.
 	interval := sc.MonitorInterval
 	if interval <= 0 {
 		interval = 30 * time.Second
 	}
+	ticks := int(min(max(e.horizon/interval+1, 0), maxReservedTicks))
+	e.queueSeries = stats.NewTimeSeriesCap(ticks)
+	e.demandSeries = stats.NewTimeSeriesCap(ticks)
+	e.runningSeries = stats.NewTimeSeriesCap(ticks)
+	e.utilSeries = stats.NewTimeSeriesCap(ticks)
 	monitor := sim.NewTicker(e.k, interval, func(now sim.Time) {
 		e.sample(now)
 	})
@@ -328,6 +346,10 @@ func RunOn(k *sim.Kernel, sc *Scenario) (*Result, error) {
 
 	return e.finish(), nil
 }
+
+// maxReservedTicks caps the monitoring points reserved per series (16 bytes
+// each); longer runs grow the series by appending.
+const maxReservedTicks = 1 << 16
 
 // submitJob registers the job's tasks and marks dependency-free ones ready.
 func (e *engine) submitJob(job *workload.Job, now sim.Time) {
@@ -396,6 +418,7 @@ func (e *engine) sleepIdleMachines(now sim.Time) {
 		if now-since >= e.power.IdleTimeout {
 			e.accrueEnergy(now)
 			m.SetAsleep(true)
+			e.machineGen++
 			delete(e.idleSince, m.ID)
 		}
 	}
@@ -420,6 +443,7 @@ func (e *engine) wakeMachines(n int, now sim.Time) {
 		e.k.AfterFunc(e.power.WakeDelay, func(now sim.Time) {
 			e.accrueEnergy(now)
 			m.SetAsleep(false)
+			e.machineGen++
 			delete(e.waking, m.ID)
 			e.armScheduler()
 		})
@@ -524,6 +548,7 @@ func (e *engine) start(qt *sched.QueuedTask, m *dcmodel.Machine, now sim.Time) b
 	if !m.Allocate(qt.Task.Cores, qt.Task.MemoryMB) {
 		return false
 	}
+	e.machineGen++
 	e.accrueUtil(now)
 	e.accrueEnergy(now)
 	rec := e.records[qt.Task.ID]
@@ -549,6 +574,7 @@ func (e *engine) complete(id workload.TaskID, now sim.Time) {
 	e.accrueUtil(now)
 	e.accrueEnergy(now)
 	r.machine.Release(r.qt.Task.Cores, r.qt.Task.MemoryMB)
+	e.machineGen++
 	e.runningCores -= r.qt.Task.Cores
 	e.demand -= r.qt.Task.Cores
 	rec := e.records[id]
@@ -614,10 +640,12 @@ func (e *engine) failMachines(fe failure.Event, now sim.Time) {
 			e.pending = append(e.pending, r.qt)
 		}
 		m.SetDown(true)
+		e.machineGen++
 		repairAt := now + fe.Repair
 		if repairAt < e.horizon {
 			e.k.AfterFunc(fe.Repair, func(now sim.Time) {
 				m.SetDown(false)
+				e.machineGen++
 				e.armScheduler()
 			})
 		}
@@ -632,7 +660,11 @@ func (e *engine) sample(now sim.Time) {
 	e.queueSeries.Add(now, float64(len(e.pending)))
 	e.demandSeries.Add(now, float64(e.demand))
 	e.runningSeries.Add(now, float64(e.runningCores))
-	e.utilSeries.Add(now, e.scenario.Cluster.Utilization())
+	if e.utilGen != e.machineGen {
+		e.lastUtil = e.scenario.Cluster.Utilization()
+		e.utilGen = e.machineGen
+	}
+	e.utilSeries.Add(now, e.lastUtil)
 }
 
 // accrueEnergy integrates the power model between state changes.
@@ -642,7 +674,10 @@ func (e *engine) accrueEnergy(now sim.Time) {
 		e.energyJoules += e.lastPowerW * dt
 	}
 	e.lastPowerAt = now
-	e.lastPowerW = e.scenario.Cluster.PowerWatts()
+	if e.powerGen != e.machineGen {
+		e.lastPowerW = e.scenario.Cluster.PowerWatts()
+		e.powerGen = e.machineGen
+	}
 }
 
 // accrueUtil integrates used core-seconds between state changes.
@@ -665,7 +700,11 @@ func (e *engine) finish() *Result {
 		UtilizationSeries: e.utilSeries,
 		SimulatedEvents:   e.k.Processed(),
 	}
-	var waits, slowdowns, responses []float64
+	n := len(e.records)
+	res.Records = make([]TaskRecord, 0, n)
+	waits := make([]float64, 0, n)
+	slowdowns := make([]float64, 0, n)
+	responses := make([]float64, 0, n)
 	const bound = 10 * time.Second
 	jobFinish := make(map[workload.JobID]time.Duration)
 	jobComplete := make(map[workload.JobID]bool)

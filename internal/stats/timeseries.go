@@ -22,6 +22,9 @@ type TimeSeries struct {
 // NewTimeSeries returns an empty series.
 func NewTimeSeries() *TimeSeries { return &TimeSeries{} }
 
+// NewTimeSeriesCap returns an empty series with room for n observations.
+func NewTimeSeriesCap(n int) *TimeSeries { return &TimeSeries{points: make([]Point, 0, n)} }
+
 // Add appends an observation. Observations should be added in non-decreasing
 // time order; out-of-order points are inserted at the right position.
 func (ts *TimeSeries) Add(t time.Duration, v float64) {
