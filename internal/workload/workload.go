@@ -195,14 +195,18 @@ func (j *Job) Validate() error {
 			return fmt.Errorf("job %d task %d: non-positive core demand %d", j.ID, t.ID, t.Cores)
 		}
 	}
+	hasDeps := false
 	for _, t := range j.Tasks {
 		for _, dep := range t.Deps {
 			if !seen[dep] {
 				return fmt.Errorf("job %d task %d: dangling dependency %d", j.ID, t.ID, dep)
 			}
+			hasDeps = true
 		}
 	}
-	if j.Levels() == nil {
+	// A cycle needs at least one dependency edge, so only jobs with edges
+	// pay for the level computation.
+	if hasDeps && j.Levels() == nil {
 		return fmt.Errorf("job %d: dependency cycle", j.ID)
 	}
 	return nil

@@ -287,6 +287,42 @@ func TestWorkloadValidateOrdering(t *testing.T) {
 	}
 }
 
+// TestWorkloadValidateFindsBadDepsAmongDepFreeJobs checks that skipping the
+// level computation for jobs without dependencies does not let a cycle or a
+// dangling dependency through in a workload where most jobs have none.
+func TestWorkloadValidateFindsBadDepsAmongDepFreeJobs(t *testing.T) {
+	task := func(id TaskID, deps ...TaskID) Task {
+		return Task{ID: id, Cores: 1, MemoryMB: 1, Runtime: time.Second, Deps: deps}
+	}
+	mixed := func(bad Job) Workload {
+		return Workload{Jobs: []Job{
+			{ID: 1, Tasks: []Task{task(1), task(2)}},
+			{ID: 2, Tasks: []Task{task(3), task(4, 3)}},
+			bad,
+			{ID: 4, Tasks: []Task{task(8)}},
+		}}
+	}
+	good := mixed(Job{ID: 3, Tasks: []Task{task(5), task(6)}})
+	if err := good.Validate(); err != nil {
+		t.Fatalf("valid mixed workload rejected: %v", err)
+	}
+	cases := map[string]struct {
+		job  Job
+		want string
+	}{
+		"cycle":     {Job{ID: 3, Tasks: []Task{task(5, 7), task(6), task(7, 5)}}, "job 3: dependency cycle"},
+		"self-loop": {Job{ID: 3, Tasks: []Task{task(5), task(6, 6)}}, "job 3: dependency cycle"},
+		"dangling":  {Job{ID: 3, Tasks: []Task{task(5), task(6, 4)}}, "job 3 task 6: dangling dependency 4"},
+	}
+	for name, tc := range cases {
+		w := mixed(tc.job)
+		err := w.Validate()
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Validate() = %v, want %q", name, err, tc.want)
+		}
+	}
+}
+
 func BenchmarkGenerate1000Jobs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := rand.New(rand.NewSource(1))
