@@ -127,6 +127,7 @@ type engine struct {
 	running    map[workload.TaskID]*running
 
 	schedArmed  bool
+	schedPass   sim.Handler // built once; armScheduler queues it
 	demand      int // cores demanded by pending+running tasks
 	maxRetries  int
 	failRestart int
@@ -218,20 +219,25 @@ func RunOn(k *sim.Kernel, sc *Scenario) (*Result, error) {
 		maxRetries = 5
 	}
 
+	nTasks := sc.Workload.TaskCount()
 	e := &engine{
 		k:          k,
 		scenario:   sc,
 		cfg:        cfg,
-		records:    make(map[workload.TaskID]*TaskRecord),
-		tasks:      make(map[workload.TaskID]*workload.Task),
-		jobs:       make(map[workload.JobID]*workload.Job),
-		remaining:  make(map[workload.TaskID]int),
+		records:    make(map[workload.TaskID]*TaskRecord, nTasks),
+		tasks:      make(map[workload.TaskID]*workload.Task, nTasks),
+		jobs:       make(map[workload.JobID]*workload.Job, len(sc.Workload.Jobs)),
+		remaining:  make(map[workload.TaskID]int, nTasks),
 		dependents: make(map[workload.TaskID][]workload.TaskID),
 		running:    make(map[workload.TaskID]*running),
 		maxRetries: maxRetries,
 		// Generation 1 differs from the zero powerGen and utilGen, so the
 		// first read computes.
 		machineGen: 1,
+	}
+	e.schedPass = func(now sim.Time) {
+		e.schedArmed = false
+		e.schedule(now)
 	}
 	e.horizon = sc.Horizon
 	if e.horizon == 0 {
@@ -390,10 +396,7 @@ func (e *engine) armScheduler() {
 		return
 	}
 	e.schedArmed = true
-	e.k.AfterFunc(0, func(now sim.Time) {
-		e.schedArmed = false
-		e.schedule(now)
-	})
+	e.k.AfterFunc(0, e.schedPass)
 }
 
 // sleepIdleMachines powers down machines that have been idle beyond the
