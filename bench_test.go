@@ -7,6 +7,7 @@ package mcs_test
 // cmd/mcsbench to print the full report tables.
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -18,6 +19,8 @@ import (
 	"mcs/internal/experiments"
 	"mcs/internal/federation"
 	"mcs/internal/gaming"
+	_ "mcs/internal/opendc"
+	"mcs/internal/scenario"
 	"mcs/internal/sim"
 	"mcs/internal/workload"
 )
@@ -246,6 +249,39 @@ func BenchmarkBankingGenerateWorkload(b *testing.B) {
 			b.Fatalf("generated %d jobs, want %d", len(w.Jobs), n)
 		}
 	}
+}
+
+// datacenterCellDoc is the base document of the perfbench campaign sweep:
+// one cell of its 480, whose 86,400 s horizon under the default 30 s monitor
+// makes monitor ticks most of the cell's kernel events.
+const datacenterCellDoc = `{"kind": "datacenter", "machines": 16, "class": "commodity", "rackSize": 16,
+  "workload": {"jobs": 60, "pattern": "bursty", "shape": "bag"},
+  "scheduler": {"queue": "fcfs", "placement": "bestfit", "mode": "easy"},
+  "failures": {"mtbf": {"dist": "weibull", "shape": 0.6, "mean": 14400}, "repair": {"dist": "lognormal", "mean": 600}},
+  "horizonSeconds": 86400}`
+
+// BenchmarkDatacenterCell is the datacenter engine's rung: each iteration
+// configures and runs one campaign cell through the scenario registry, the
+// path a sweep or a dist worker takes per cell. ns/op is pinned in
+// BENCH_BASELINE.json and gated by benchguard in CI; events/sec counts
+// every kernel event of the cell.
+func BenchmarkDatacenterCell(b *testing.B) {
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		s, err := scenario.New("datacenter", json.RawMessage(datacenterCellDoc))
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := scenario.RunScenario(s, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Metrics["completed"] == 0 {
+			b.Fatal("no tasks completed")
+		}
+		events += res.Events
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }
 
 // BenchmarkSocialMillionUsers lives in internal/social (it holds the
