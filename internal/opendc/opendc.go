@@ -128,7 +128,7 @@ type engine struct {
 
 	schedArmed  bool
 	schedPass   sim.Handler // built once; armScheduler queues it
-	demand      int // cores demanded by pending+running tasks
+	demand      int         // cores demanded by pending+running tasks
 	maxRetries  int
 	failRestart int
 	horizon     time.Duration

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 	"math"
 	"math/rand"
 	"testing"
@@ -47,18 +46,14 @@ func resultDigest(res *Result) string {
 		}
 	}
 	for _, ts := range []*stats.TimeSeries{res.QueueLenSeries, res.DemandSeries, res.RunningSeries, res.UtilizationSeries} {
-		hashSeries(h, ts)
+		pts := ts.Points()
+		i64(int64(len(pts)))
+		for _, p := range pts {
+			i64(int64(p.T))
+			f64(p.V)
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-func hashSeries(h hash.Hash, ts *stats.TimeSeries) {
-	pts := ts.Points()
-	_ = binary.Write(h, binary.LittleEndian, int64(len(pts)))
-	for _, p := range pts {
-		_ = binary.Write(h, binary.LittleEndian, int64(p.T))
-		_ = binary.Write(h, binary.LittleEndian, math.Float64bits(p.V))
-	}
 }
 
 func generated(t *testing.T, seed int64, cfg workload.GeneratorConfig) *workload.Workload {
