@@ -9,7 +9,8 @@
 // Endpoints:
 //
 //	POST /run      a WorkUnit of cells; the response streams one
-//	               CellResult per line as cells complete
+//	               CellResult per line as cells complete (a body over
+//	               32 MiB is refused with 413)
 //	GET  /healthz  liveness: uptime, in-flight units, cell tallies, and
 //	               the registered scenario kinds
 //	GET  /metrics  Prometheus text exposition — cells run/failed, kernel
@@ -39,6 +40,7 @@ import (
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux for -debug-addr
 	"os"
+	"time"
 
 	"mcs/internal/dist"
 	"mcs/internal/scenario"
@@ -93,8 +95,20 @@ func serve(ln, debugLn net.Listener, status io.Writer) error {
 		// net/http/pprof import already hung /debug/pprof on the mux.
 		srv.Registry().PublishExpvar()
 		fmt.Fprintf(status, "mcsweepd: debug surface (pprof, expvar) on http://%s/debug/pprof/\n", debugLn.Addr())
-		go http.Serve(debugLn, nil)
+		go newHTTPServer(nil).Serve(debugLn)
 	}
 	fmt.Fprintf(status, "mcsweepd: serving %d scenario kinds on %s\n", len(scenario.List()), ln.Addr())
-	return http.Serve(ln, srv.Handler())
+	return newHTTPServer(srv.Handler()).Serve(ln)
+}
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so slow or stalled connections cannot pile up. Bodies and
+// responses are not timed: a work unit legitimately streams results for as
+// long as its cells run.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer wraps h (nil: DefaultServeMux) with the daemon's
+// connection limits.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }

@@ -117,3 +117,50 @@ func TestDebugSurfaceServesPprofAndExpvar(t *testing.T) {
 		t.Errorf("/metrics scrape missing uptime gauge:\n%.400s", body)
 	}
 }
+
+// spaces is an endless body of ASCII spaces — JSON whitespace — so an
+// oversized request costs the client nothing to produce.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestOversizedWorkUnitRejected: a POST /run body past the daemon's bound
+// is answered 413 instead of being buffered without limit, and the daemon
+// then still runs a normal unit.
+func TestOversizedWorkUnitRejected(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go serve(ln, nil, io.Discard)
+	base := "http://" + ln.Addr().String()
+
+	body := io.MultiReader(io.LimitReader(spaces{}, 32<<20), strings.NewReader(` {"id": 1, "cells": []}`))
+	resp, err := http.Post(base+"/run", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized unit: status %d (%s), want 413", resp.StatusCode, msg)
+	}
+
+	worker := &dist.HTTP{Base: base}
+	cell := dist.CellSpec{Index: 0, Key: "k", Seed: 3, Doc: json.RawMessage(`{"kind": "banking", "transactions": 40}`)}
+	var got []dist.CellResult
+	if err := worker.Run(context.Background(), dist.WorkUnit{ID: 2, Cells: []dist.CellSpec{cell}}, func(r dist.CellResult) {
+		got = append(got, r)
+	}); err != nil {
+		t.Fatalf("normal unit after the oversized one: %v", err)
+	}
+	if len(got) != 1 || got[0].Err != "" || got[0].Result == nil {
+		t.Fatalf("normal unit results = %+v", got)
+	}
+}

@@ -1,10 +1,13 @@
 package banking
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -221,6 +224,55 @@ func TestTransactionsFromWorkloadStableOrder(t *testing.T) {
 		for i, id := range tc.want {
 			if txs[i].ID != id {
 				t.Fatalf("%s: order = %+v, want IDs %v", tc.name, txs, tc.want)
+			}
+		}
+	}
+}
+
+// TestSortByArrivalMatchesStableSort: the radix sort orders keys exactly as
+// a stable comparison sort on arrival does — ties in input order — on
+// tie-heavy keys, keys at zero, the largest non-negative key, and the
+// smallest sizes.
+func TestSortByArrivalMatchesStableSort(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	draw := func(n int, at func() time.Duration) []arrivalKey {
+		keys := make([]arrivalKey, n)
+		for i := range keys {
+			keys[i] = arrivalKey{at: at(), draw: i}
+		}
+		return keys
+	}
+	cases := map[string][]arrivalKey{
+		"empty":         draw(0, nil),
+		"one":           draw(1, func() time.Duration { return time.Hour }),
+		"two-equal":     draw(2, func() time.Duration { return time.Second }),
+		"two-reversed":  {{at: 2, draw: 0}, {at: 1, draw: 1}},
+		"all-zero":      draw(1000, func() time.Duration { return 0 }),
+		"zero-and-max":  draw(1000, func() time.Duration { return time.Duration(r.Intn(2)) * math.MaxInt64 }),
+		"duplicates":    draw(5000, func() time.Duration { return time.Duration(r.Intn(8)) * time.Minute }),
+		"one-digit":     draw(5000, func() time.Duration { return time.Duration(r.Intn(1 << radixDigitBits)) }),
+		"day":           draw(20_000, func() time.Duration { return time.Duration(r.Int63n(int64(24 * time.Hour))) }),
+		"full-range":    draw(5000, func() time.Duration { return time.Duration(r.Int63()) }),
+		"shared-prefix": draw(5000, func() time.Duration { return 17*time.Hour + time.Duration(r.Intn(64)) }),
+	}
+	for name, keys := range cases {
+		want := slices.Clone(keys)
+		slices.SortStableFunc(want, func(a, b arrivalKey) int { return cmp.Compare(a.at, b.at) })
+		got := sortByArrival(keys, make([]arrivalKey, len(keys)))
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: radix order diverges from the stable sort", name)
+		}
+	}
+}
+
+// TestGenerateWorkloadArrivalsNonNegative pins the invariant sortByArrival
+// relies on: every synthesized arrival lies in [0, 24h), under both the
+// uniform and the tie-heavy source.
+func TestGenerateWorkloadArrivalsNonNegative(t *testing.T) {
+	for _, src := range []rand.Source{rand.NewSource(9), newFewValuesSource(9)} {
+		for _, j := range GenerateWorkload(20_000, 0.5, rand.New(src)).Jobs {
+			if j.Submit < 0 || j.Submit >= 24*time.Hour {
+				t.Fatalf("job %d arrives at %v, outside [0, 24h)", j.ID, j.Submit)
 			}
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
 	"io"
@@ -56,6 +57,13 @@ func NewServer() *Server {
 	return s
 }
 
+// maxWorkUnitBytes bounds a POST /run body. Work units are untrusted
+// network input, so the daemon answers a larger one with 413 instead of
+// buffering it whole. The bound sits far above the units a coordinator
+// shards from document-sized cells; a campaign that hits it can lower its
+// shard size.
+const maxWorkUnitBytes = 32 << 20
+
 // Registry exposes the daemon's metric registry, e.g. so cmd/mcsweepd can
 // republish it on the expvar debug surface behind -debug-addr.
 func (s *Server) Registry() *obs.Registry { return s.reg }
@@ -75,7 +83,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var unit WorkUnit
-	if err := json.NewDecoder(r.Body).Decode(&unit); err != nil {
+	body := http.MaxBytesReader(w, r.Body, maxWorkUnitBytes)
+	if err := json.NewDecoder(body).Decode(&unit); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("work unit exceeds %d bytes; use smaller shards", tooBig.Limit), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, fmt.Sprintf("bad work unit: %v", err), http.StatusBadRequest)
 		return
 	}

@@ -9,6 +9,8 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -111,14 +113,29 @@ func (s Summary) String() string {
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. It copies xs.
+// interpolation between order statistics. It copies xs, and places the
+// order statistics it needs by selection rather than a full sort; the
+// result is the value the sorted sample gives. It returns 0 for an empty
+// xs and NaN for a NaN q.
 func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
+	if math.IsNaN(q) {
+		return math.NaN()
+	}
+	s := append([]float64(nil), xs...)
+	if slices.ContainsFunc(s, math.IsNaN) {
+		sort.Float64s(s) // keeps the sort's placement of NaNs (first)
+		return quantileSorted(s, q)
+	}
+	lo, frac := quantileRank(len(s), q)
+	selectKth(s, lo)
+	if frac == 0 {
+		return s[lo]
+	}
+	// The next order statistic is the smallest value right of lo.
+	return s[lo]*(1-frac) + slices.Min(s[lo+1:])*frac
 }
 
 func quantileSorted(sorted []float64, q float64) float64 {
@@ -126,20 +143,79 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	if q <= 0 {
-		return sorted[0]
+	if math.IsNaN(q) {
+		return math.NaN()
 	}
-	if q >= 1 {
-		return sorted[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
+	lo, frac := quantileRank(n, q)
+	if frac == 0 {
 		return sorted[lo]
 	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+}
+
+// quantileRank locates the q-quantile of n > 0 sorted values: between the
+// order statistics at lo and lo+1, frac of the way to the latter. frac is
+// 0 when the quantile is an order statistic itself. q must not be NaN.
+func quantileRank(n int, q float64) (lo int, frac float64) {
+	if q <= 0 {
+		return 0, 0
+	}
+	if q >= 1 {
+		return n - 1, 0
+	}
+	pos := q * float64(n-1)
+	lo = int(math.Floor(pos))
+	return lo, pos - float64(lo)
+}
+
+// selectKth partially orders xs, which holds no NaN, so that xs[k] is its
+// k-th smallest value, no value before k is larger and no value after k is
+// smaller: a deterministic quickselect with median-of-three pivots. Small
+// ranges, and ranges still unresolved after 2·log₂ n partitions, are
+// sorted outright, which bounds the worst case at O(n log n).
+func selectKth(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for budget := 2 * bits.Len(uint(len(xs))); hi > lo; budget-- {
+		if hi-lo < 16 || budget == 0 {
+			sort.Float64s(xs[lo : hi+1])
+			return
+		}
+		mid := lo + (hi-lo)/2
+		if xs[mid] < xs[lo] {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if xs[hi] < xs[lo] {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if xs[hi] < xs[mid] {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		// Hoare partition around the median: afterwards xs[lo..j] ≤ p,
+		// xs[i..hi] ≥ p and everything strictly between j and i equals p.
+		p := xs[mid]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < p {
+				i++
+			}
+			for p < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
