@@ -251,6 +251,27 @@ func BenchmarkBankingGenerateWorkload(b *testing.B) {
 	}
 }
 
+// bankingClearingDoc is the perfbench clearing document at seed 7.
+const bankingClearingDoc = `{"kind": "banking", "seed": 7, "transactions": 300000, "instantShare": 0.5, "discipline": "edf"}`
+
+// BenchmarkBankingConfigure times banking's set-up on the perfbench
+// clearing document: each iteration configures the scenario through the
+// registry, synthesizing the 300k-transaction column. peakRSS-MB is the
+// live-heap proxy with the configured scenario still referenced — the
+// footprint a run starts from. Both are pinned in BENCH_BASELINE.json and
+// gated by benchguard in CI.
+func BenchmarkBankingConfigure(b *testing.B) {
+	var s scenario.Scenario
+	for i := 0; i < b.N; i++ {
+		var err error
+		if s, err = scenario.New("banking", json.RawMessage(bankingClearingDoc)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(liveHeapMB(s), "peakRSS-MB")
+}
+
 // datacenterCellDoc is the base document of the perfbench campaign sweep:
 // one cell of its 480, whose 86,400 s horizon under the default 30 s monitor
 // makes monitor ticks most of the cell's kernel events.

@@ -143,7 +143,7 @@ func parseBench(in io.Reader) (map[string]Entry, error) {
 
 func writeBaseline(path string, measured map[string]Entry, out io.Writer) error {
 	b := Baseline{
-		Note:       "re-baseline: go test . -run=NONE -bench='BenchmarkKernelThroughput|BenchmarkFederationMultiSite|BenchmarkGamingMillionSessions|BenchmarkBankingMillionTransactions|BenchmarkBankingGenerateWorkload|BenchmarkDatacenterCell' -benchtime=0.5s -count=3 (plus go test ./internal/social -bench=BenchmarkSocialMillionUsers -benchtime=1x) | go run ./cmd/benchguard -write BENCH_BASELINE.json",
+		Note:       "re-baseline: go test . -run=NONE -bench='BenchmarkKernelThroughput|BenchmarkFederationMultiSite|BenchmarkGamingMillionSessions|BenchmarkBankingMillionTransactions|BenchmarkBankingGenerateWorkload|BenchmarkBankingConfigure|BenchmarkDatacenterCell' -benchtime=0.5s -count=3 (plus go test ./internal/social -bench=BenchmarkSocialMillionUsers -benchtime=1x) | go run ./cmd/benchguard -write BENCH_BASELINE.json",
 		Benchmarks: measured,
 	}
 	data, err := json.MarshalIndent(b, "", "  ")

@@ -1,9 +1,11 @@
 package banking
 
 import (
+	"encoding/json"
 	"runtime"
 	"testing"
 
+	"mcs/internal/scenario"
 	"mcs/internal/sim"
 )
 
@@ -89,5 +91,26 @@ func TestLedgerTransferWarmAllocs(t *testing.T) {
 	}
 	if err := l.CheckConservation(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConfigureBytesPerTransaction bounds what a synthetic Configure
+// allocates per transaction: the draw keys with their sort scratch, the
+// amount column and the transaction column (~72 B), with no job/task form
+// built until an export asks for it.
+func TestConfigureBytesPerTransaction(t *testing.T) {
+	const n = 100_000
+	doc := json.RawMessage(`{"kind": "banking", "seed": 3, "transactions": 100000, "instantShare": 0.5}`)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, err := scenario.New("banking", doc)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(s)
+	if perTx := float64(after.TotalAlloc-before.TotalAlloc) / n; perTx > 96 {
+		t.Errorf("Configure allocates %.0f bytes per transaction, want ≤ 96", perTx)
 	}
 }

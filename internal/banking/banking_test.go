@@ -1,14 +1,18 @@
 package banking
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"mcs/internal/stats"
+	"mcs/internal/trace"
 )
 
 func TestLedgerOpenAndTransfer(t *testing.T) {
@@ -260,6 +264,38 @@ func TestRunClearingFailsOnExhaustedBudget(t *testing.T) {
 	clearingEventBudget = 1_000_000
 	if res, err := RunClearing(DefaultPipeline(), txs, EDF, 11); err != nil || res.Completed != len(txs) {
 		t.Fatalf("run within budget: %v %+v", err, res)
+	}
+}
+
+// TestConfigureRejectsStreamsOverBudget: a stream longer than the event
+// budget can settle — five events per transaction at least, its arrival
+// and one completion per stage — is refused in Configure, before
+// synthesis or a run, whether it is synthesized or loaded from a trace;
+// one at the bound is accepted.
+func TestConfigureRejectsStreamsOverBudget(t *testing.T) {
+	defer func(b uint64) { clearingEventBudget = b }(clearingEventBudget)
+	clearingEventBudget = 5000
+	limit := int(clearingEventBudget) / (1 + len(DefaultPipeline()))
+	dir := t.TempDir()
+	for _, n := range []int{limit, limit + 1} {
+		synthetic := fmt.Sprintf(`{"kind": "banking", "seed": 4, "transactions": %d}`, n)
+		path := filepath.Join(dir, fmt.Sprintf("stream-%d.mcw", n))
+		if err := trace.WriteFile(path, trace.FormatMCW, GenerateWorkload(n, 0.5, rand.New(rand.NewSource(4)))); err != nil {
+			t.Fatal(err)
+		}
+		replay := fmt.Sprintf(`{"kind": "banking", "seed": 4, "workload": {"trace": %q}}`, path)
+		for name, doc := range map[string]string{"synthetic": synthetic, "trace": replay} {
+			b := &bankingScenario{}
+			err := b.Configure(json.RawMessage(doc))
+			switch {
+			case n <= limit && err != nil:
+				t.Errorf("%s stream of %d (bound %d) refused: %v", name, n, limit, err)
+			case n > limit && (err == nil || !strings.Contains(err.Error(), "event budget")):
+				t.Errorf("%s stream of %d (bound %d): error %v, want an event-budget refusal", name, n, limit, err)
+			case n > limit && b.txs != nil:
+				t.Errorf("%s stream of %d refused after it was materialized", name, n)
+			}
+		}
 	}
 }
 

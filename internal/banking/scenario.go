@@ -6,12 +6,14 @@ package banking
 // scenario.Scenario implementation over the default four-stage pipeline.
 //
 // The transaction stream is a first-class workload (see workload.go for
-// the field mapping), materialized at Configure through the
-// workload-source layer — synthesized from the document seed, or replayed
-// from a trace file named in the document. The pipeline consumes the same
-// precomputed stream either way, and its per-stage service times are
-// kernel-RNG dynamics whose draw order the stream fixes, so a trace
-// exported from a synthetic run replays to a byte-identical result.
+// the field mapping), materialized at Configure as the transaction column
+// the pipeline clears — synthesized from the document seed, or replayed
+// from a trace file named in the document and converted once. The
+// pipeline consumes the same precomputed stream either way, and its
+// per-stage service times are kernel-RNG dynamics whose draw order the
+// stream fixes, so a trace exported from a synthetic run replays to a
+// byte-identical result. The job/task form exists only for export: it is
+// built from the column on the first SourceWorkload call.
 
 import (
 	"encoding/json"
@@ -49,7 +51,9 @@ const ExampleJSON = `{
 
 type bankingScenario struct {
 	disc QueueDiscipline
-	w    *workload.Workload
+	txs  []Transaction
+	// w is the workload form of txs, built on first SourceWorkload call.
+	w *workload.Workload
 }
 
 func init() {
@@ -62,12 +66,24 @@ func (b *bankingScenario) Name() string { return "banking" }
 // Example implements scenario.Exampler.
 func (b *bankingScenario) Example() string { return ExampleJSON }
 
-// SourceWorkload implements scenario.WorkloadProvider.
+// SourceWorkload implements scenario.WorkloadProvider. The workload is
+// the transaction column's export form (WorkloadFromTransactions), built
+// on the first call: only trace export reads it.
 func (b *bankingScenario) SourceWorkload() (*workload.Workload, error) {
-	if b.w == nil {
+	if b.txs == nil {
 		return nil, fmt.Errorf("banking: not configured")
 	}
+	if b.w == nil {
+		b.w = WorkloadFromTransactions(b.txs)
+	}
 	return b.w, nil
+}
+
+// maxTransactions is the largest stream a clearing run can settle within
+// clearingEventBudget: every transaction fires at least its arrival and
+// one completion per stage, so a longer one must exhaust the budget.
+func maxTransactions() int {
+	return int(clearingEventBudget / uint64(1+len(DefaultPipeline())))
 }
 
 // Configure implements scenario.Scenario.
@@ -96,15 +112,25 @@ func (b *bankingScenario) Configure(raw json.RawMessage) error {
 	default:
 		return fmt.Errorf("banking scenario: unknown discipline %q", cfg.Discipline)
 	}
-	count, share := cfg.Transactions, cfg.InstantShare
-	src := trace.SourceFor(cfg.Workload.Ref, cfg.Seed, func(r *rand.Rand) (*workload.Workload, error) {
-		return GenerateWorkload(count, share, r), nil
-	})
-	w, err := src.Load()
+	limit := maxTransactions()
+	if cfg.Workload.Trace == "" {
+		if cfg.Transactions > limit {
+			return fmt.Errorf("banking scenario: %d transactions cannot settle within the event budget (at most %d)", cfg.Transactions, limit)
+		}
+		// The seed construction of workload.Synthetic, the source the
+		// other trace-capable kinds synthesize through.
+		b.txs = generateTransactions(cfg.Transactions, cfg.InstantShare, rand.New(rand.NewSource(cfg.Seed)))
+		return nil
+	}
+	w, err := trace.File{Path: cfg.Workload.Trace, Format: cfg.Workload.Format}.Load()
 	if err != nil {
 		return err
 	}
-	b.w = w
+	txs := TransactionsFromWorkload(w)
+	if len(txs) > limit {
+		return fmt.Errorf("banking scenario: trace %s holds %d transactions, which cannot settle within the event budget (at most %d)", cfg.Workload.Trace, len(txs), limit)
+	}
+	b.txs = txs
 	return nil
 }
 
@@ -113,8 +139,7 @@ func (b *bankingScenario) Schema() any { return &ScenarioJSON{} }
 
 // Run implements scenario.Scenario.
 func (b *bankingScenario) Run(k *sim.Kernel) (*scenario.Result, error) {
-	txs := TransactionsFromWorkload(b.w)
-	res, err := RunClearingOn(k, DefaultPipeline(), txs, b.disc)
+	res, err := RunClearingOn(k, DefaultPipeline(), b.txs, b.disc)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package banking_test
 
 import (
 	"encoding/json"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"mcs/internal/banking"
@@ -76,5 +78,23 @@ func TestBankingScenarioRejectsBadConfig(t *testing.T) {
 		if _, err := scenario.RunDocument(json.RawMessage(doc)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestBankingSourceWorkloadMatchesGenerator: the export form a synthetic
+// document builds on demand is exactly GenerateWorkload on the document
+// seed, so -export-trace writes the stream the run cleared.
+func TestBankingSourceWorkloadMatchesGenerator(t *testing.T) {
+	s, err := scenario.New("banking", json.RawMessage(`{"kind": "banking", "seed": 21, "transactions": 3000, "instantShare": 0.35}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.(scenario.WorkloadProvider).SourceWorkload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := banking.GenerateWorkload(3000, 0.35, rand.New(rand.NewSource(21)))
+	if !reflect.DeepEqual(got, want) {
+		t.Error("SourceWorkload diverges from GenerateWorkload on the document seed")
 	}
 }

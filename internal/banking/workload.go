@@ -31,7 +31,6 @@ import (
 	"slices"
 	"time"
 
-	"mcs/internal/sim"
 	"mcs/internal/stats"
 	"mcs/internal/workload"
 )
@@ -47,15 +46,24 @@ const (
 // (17:00–18:00 holds 20% of the day), lognormal amounts, and an
 // instantShare mix of instant (10s deadline) versus same-hour (1h)
 // payments. Jobs come out sorted by submit time, same-instant jobs in
-// draw order.
+// draw order, and IDs are draw index + 1.
+//
+// It is the workload form of generateTransactions' stream — one
+// synthesis, mapped through WorkloadFromTransactions — so the job view an
+// export writes and the transactions a run clears cannot diverge.
+func GenerateWorkload(n int, instantShare float64, r *rand.Rand) *workload.Workload {
+	return WorkloadFromTransactions(generateTransactions(n, instantShare, r))
+}
+
+// generateTransactions draws the stream GenerateWorkload describes,
+// straight into its transaction column.
 //
 // Synthesis draws into pointer-free columns — an {arrival, draw index}
 // key per transaction and its amount with the deadline class packed in —
 // orders the keys with a stable radix sort on arrival, and only then
-// builds the jobs and one shared task slice, already in order, every
-// job's Tasks a cap-1 window of it. The allocation count is constant in
-// n, and IDs stay draw index + 1.
-func GenerateWorkload(n int, instantShare float64, r *rand.Rand) *workload.Workload {
+// fills the transactions, already in order. The allocation count is
+// constant in n.
+func generateTransactions(n int, instantShare float64, r *rand.Rand) []Transaction {
 	day := 24 * time.Hour
 	// One allocation holds the keys and the radix sort's scratch half.
 	keyBuf := make([]arrivalKey, 2*n)
@@ -82,32 +90,57 @@ func GenerateWorkload(n int, instantShare float64, r *rand.Rand) *workload.Workl
 	}
 	keys = sortByArrival(keys, keyBuf[n:])
 
-	jobs := make([]workload.Job, n)
-	tasks := make([]workload.Task, n)
+	txs := make([]Transaction, n)
 	for k, key := range keys {
 		amount := amounts[key.draw]
-		ddl, class := standardDeadline, "standard"
+		ddl := standardDeadline
 		if amount&instantClass != 0 {
-			ddl, class = instantDeadline, "instant"
+			ddl = instantDeadline
 		}
-		id := workload.JobID(key.draw + 1)
+		txs[k] = Transaction{
+			ID:       key.draw + 1,
+			Arrive:   key.at,
+			Deadline: key.at + ddl,
+			Cents:    int64(amount &^ instantClass),
+		}
+	}
+	return txs
+}
+
+// WorkloadFromTransactions is the inverse of TransactionsFromWorkload
+// (see the field mapping above), exact on every stream that function
+// returns — arrival-ordered, amounts of at least one cent: one
+// single-task job per transaction, in stream order, every job's Tasks a
+// cap-1 window of one shared task slice. The deadline class is read from
+// the service window — instant when Deadline − Arrive is the instant
+// deadline, standard otherwise.
+func WorkloadFromTransactions(txs []Transaction) *workload.Workload {
+	jobs := make([]workload.Job, len(txs))
+	tasks := make([]workload.Task, len(txs))
+	for k := range txs {
+		tx := &txs[k]
+		window, class := tx.Deadline-tx.Arrive, "standard"
+		if window == instantDeadline {
+			class = "instant"
+		}
+		id := workload.JobID(tx.ID)
 		// Stored field by field: a Task literal is built in a temporary
-		// and block-copied, which cost ~10% of synthesis.
+		// and block-copied, which cost ~10% of building this form.
 		t := &tasks[k]
-		t.ID, t.Job, t.Cores = workload.TaskID(key.draw+1), id, 1
-		t.MemoryMB, t.Runtime = int(amount&^instantClass), ddl
+		t.ID, t.Job, t.Cores = workload.TaskID(tx.ID), id, 1
+		t.MemoryMB, t.Runtime = int(tx.Cents), window
 		jobs[k] = workload.Job{
 			ID:       id,
 			User:     class,
-			Submit:   key.at,
-			Deadline: key.at + ddl,
+			Submit:   tx.Arrive,
+			Deadline: tx.Deadline,
 			Tasks:    tasks[k : k+1 : k+1],
 		}
 	}
 	return &workload.Workload{Jobs: jobs}
 }
 
-// instantClass marks an instant payment in GenerateWorkload's amount
+// instantClass marks an instant payment in generateTransactions' amount
 // column. Amounts are positive int64 cents, so the top bit is free.
 const instantClass = 1 << 63
 
@@ -118,15 +151,17 @@ type arrivalKey struct {
 	draw int
 }
 
-// radixDigitBits bounds the digit width of sortByArrival's passes.
-const radixDigitBits = 11
+// radixDigitBits bounds the digit width of sortByArrival's passes: 12
+// bits sort a day in nanoseconds (47 bits) in four passes over a 32 KB
+// count array.
+const radixDigitBits = 12
 
 // sortByArrival orders keys on at with a stable LSD radix sort and
 // returns the sorted slice, which is either keys or buf (scratch of the
 // same length). Equal arrivals keep their input order, so keys drawn in
 // draw order come out exactly in (at, draw) order.
 //
-// Invariant: every at is non-negative (GenerateWorkload draws
+// Invariant: every at is non-negative (generateTransactions draws
 // at ∈ [0, 24h)), so its bits read as unsigned digits order the keys as
 // the signed values do. The passes cover only the bits of the largest
 // key, with digits of equal width up to radixDigitBits, and a pass whose
@@ -196,11 +231,9 @@ func TransactionsFromWorkload(w *workload.Workload) []Transaction {
 	return txs
 }
 
-// GenerateTransactions draws the PSD2-style daily workload in transaction
-// form — the historical entry point, now a reroute through the workload
-// generator so the programmatic API and the scenario adapter share one
-// model of the stream.
+// GenerateTransactions draws the PSD2-style daily stream (see
+// GenerateWorkload) in transaction form, from an RNG seeded with seed —
+// the stream the kernel RNG of sim.New(seed) would yield.
 func GenerateTransactions(n int, instantShare float64, seed int64) []Transaction {
-	k := sim.New(seed) // reuse the kernel's deterministic RNG
-	return TransactionsFromWorkload(GenerateWorkload(n, instantShare, k.Rand()))
+	return generateTransactions(n, instantShare, rand.New(rand.NewSource(seed)))
 }

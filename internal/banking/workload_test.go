@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"mcs/internal/sim"
 	"mcs/internal/stats"
 	"mcs/internal/workload"
 )
@@ -275,5 +276,52 @@ func TestGenerateWorkloadArrivalsNonNegative(t *testing.T) {
 				t.Fatalf("job %d arrives at %v, outside [0, 24h)", j.ID, j.Submit)
 			}
 		}
+	}
+}
+
+// TestWorkloadFromTransactionsRoundTrip: the workload form inverts back to
+// exactly the transaction column it was built from, across seeds, sizes
+// and deadline mixes — so replaying an export clears the same stream.
+func TestWorkloadFromTransactionsRoundTrip(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 1000, 20_000} {
+		for _, share := range []float64{0, 0.5, 1} {
+			for _, seed := range []int64{1, 7, 42} {
+				txs := GenerateTransactions(n, share, seed)
+				got := TransactionsFromWorkload(WorkloadFromTransactions(txs))
+				if !slices.Equal(got, txs) {
+					t.Fatalf("n=%d share=%v seed=%d: round trip diverges", n, share, seed)
+				}
+			}
+		}
+	}
+}
+
+// TestGenerateTransactionsMatchesReference: the transaction column is the
+// reference workload's stream — same draws, order, IDs and amounts — under
+// the RNG that sim.New(seed) hands its models.
+func TestGenerateTransactionsMatchesReference(t *testing.T) {
+	for _, n := range []int{1, 1000, 30_000} {
+		for _, share := range []float64{0, 0.3, 1} {
+			for _, seed := range []int64{5, 9} {
+				want := TransactionsFromWorkload(generateWorkloadReference(n, share, sim.New(seed).Rand()))
+				if got := GenerateTransactions(n, share, seed); !slices.Equal(got, want) {
+					t.Fatalf("n=%d share=%v seed=%d: stream diverges from the reference", n, share, seed)
+				}
+			}
+		}
+	}
+}
+
+// TestGenerateTransactionsAllocsConstant: drawing the transaction column
+// allocates a fixed number of objects (RNG, keys, amounts, the column)
+// whatever the transaction count.
+func TestGenerateTransactionsAllocsConstant(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(3, func() { GenerateTransactions(n, 0.5, 3) })
+	}
+	small, large := allocs(10_000), allocs(40_000)
+	if small != large || large > 8 {
+		t.Errorf("GenerateTransactions allocates %.0f objects at n=10k and %.0f at n=40k; want the same small constant", small, large)
 	}
 }

@@ -94,9 +94,10 @@ type Ref struct {
 
 // SourceFor selects the workload source a scenario document declares: the
 // referenced trace file when ref names one, else synthetic generation from
-// gen under an RNG seeded with seed. This is the one place the
-// trace-vs-synthetic rule lives; every trace-capable adapter routes
-// through it.
+// gen under an RNG seeded with seed. Every adapter that runs the job/task
+// form routes through it; banking, which clears a transaction column and
+// builds the job form only for export, applies the same rule itself —
+// File for a trace, rand.New(rand.NewSource(seed)) for synthesis.
 func SourceFor(ref Ref, seed int64, gen func(r *rand.Rand) (*workload.Workload, error)) workload.Source {
 	if ref.Trace != "" {
 		return File{Path: ref.Trace, Format: ref.Format}
