@@ -198,22 +198,6 @@ func (c *Cluster) UpMachines() int {
 	return n
 }
 
-// Utilization returns cluster-wide core utilization over up machines.
-func (c *Cluster) Utilization() float64 {
-	var used, cap int
-	for _, m := range c.Machines {
-		if m.Down() || m.Asleep() {
-			continue
-		}
-		used += m.UsedCores()
-		cap += m.Class.Cores
-	}
-	if cap == 0 {
-		return 0
-	}
-	return float64(used) / float64(cap)
-}
-
 // PowerWatts returns the instantaneous cluster power draw; down machines
 // draw nothing, sleeping machines draw SleepWatts.
 func (c *Cluster) PowerWatts() float64 {

@@ -174,17 +174,13 @@ func TestClusterAggregates(t *testing.T) {
 	if got := c.AvailableCores(); got != 32 {
 		t.Errorf("available=%d", got)
 	}
-	// Utilization over up machines: 16 used of 48.
-	if got := c.Utilization(); got < 0.33 || got > 0.34 {
-		t.Errorf("utilization=%v", got)
-	}
 	// Power: machine0 at max, machines 2,3 idle, machine1 down.
 	want := ClassCommodity.MaxWatts + 2*ClassCommodity.IdleWatts
 	if got := c.PowerWatts(); got != want {
 		t.Errorf("power=%v, want %v", got, want)
 	}
 	c.Reset()
-	if c.UpMachines() != 4 || c.Utilization() != 0 {
+	if c.UpMachines() != 4 || c.AvailableCores() != 64 {
 		t.Error("reset incomplete")
 	}
 }

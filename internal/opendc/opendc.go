@@ -43,8 +43,8 @@ type Scenario struct {
 	// Horizon caps simulated time; 0 lets the run drain naturally (with a
 	// generous internal bound to terminate pathological scenarios).
 	Horizon time.Duration
-	// MonitorInterval is the sampling period of utilization/queue series
-	// (default 30s of simulated time).
+	// MonitorInterval is the period at which energy and utilization are
+	// accrued between machine-state changes (default 30s of simulated time).
 	MonitorInterval time.Duration
 	// Power, when non-nil, enables energy-proportional operation: idle
 	// machines sleep after IdleTimeout and wake (paying WakeDelay) when the
@@ -104,10 +104,6 @@ type Result struct {
 	// caller compute availability metrics without re-drawing.
 	FailureEvents          []failure.Event
 	FailureWindow          time.Duration
-	QueueLenSeries         *stats.TimeSeries
-	DemandSeries           *stats.TimeSeries // eligible+running core demand
-	RunningSeries          *stats.TimeSeries // allocated cores
-	UtilizationSeries      *stats.TimeSeries
 	SimulatedEvents        uint64
 	WallClockAdvisoryNotes []string
 }
@@ -128,27 +124,23 @@ type engine struct {
 
 	schedArmed  bool
 	schedPass   sim.Handler // built once; armScheduler queues it
-	demand      int         // cores demanded by pending+running tasks
 	maxRetries  int
 	failRestart int
 	horizon     time.Duration
 
 	failureEvents []failure.Event
 
-	queueSeries, demandSeries, runningSeries, utilSeries *stats.TimeSeries
-	runningCores                                         int
+	runningCores int
 
 	// machineGen counts machine-state changes: it is bumped right after
 	// each Allocate, Release, SetDown and SetAsleep the engine makes, and
-	// nothing else mutates a machine during a run. Cluster power and
-	// utilization are pure functions of machine state, so a value computed
-	// at generation g stays exact until the generation moves; powerGen and
-	// utilGen record the generation lastPowerW and lastUtil were computed
-	// at. This keeps the monitor tick, which is most of a cell's events,
-	// from re-summing every machine.
-	machineGen        uint64
-	powerGen, utilGen uint64
-	lastUtil          float64
+	// nothing else mutates a machine during a run. Cluster power is a pure
+	// function of machine state, so a value computed at generation g stays
+	// exact until the generation moves; powerGen records the generation
+	// lastPowerW was computed at. This keeps the monitor tick, which is
+	// most of a cell's events, from re-summing every machine.
+	machineGen uint64
+	powerGen   uint64
 
 	energyJoules float64
 	lastPowerAt  time.Duration
@@ -231,8 +223,8 @@ func RunOn(k *sim.Kernel, sc *Scenario) (*Result, error) {
 		dependents: make(map[workload.TaskID][]workload.TaskID),
 		running:    make(map[workload.TaskID]*running),
 		maxRetries: maxRetries,
-		// Generation 1 differs from the zero powerGen and utilGen, so the
-		// first read computes.
+		// Generation 1 differs from the zero powerGen, so the first read
+		// computes.
 		machineGen: 1,
 	}
 	e.schedPass = func(now sim.Time) {
@@ -325,20 +317,15 @@ func RunOn(k *sim.Kernel, sc *Scenario) (*Result, error) {
 		})
 	}
 
-	// Monitoring: one point per tick in each series, reserved up front but
-	// capped, because a drained run's internal horizon can be far longer
-	// than the run needs.
+	// Monitoring: each tick accrues energy and utilization, so the tick
+	// interval sets where the float integrals are split.
 	interval := sc.MonitorInterval
 	if interval <= 0 {
 		interval = 30 * time.Second
 	}
-	ticks := int(min(max(e.horizon/interval+1, 0), maxReservedTicks))
-	e.queueSeries = stats.NewTimeSeriesCap(ticks)
-	e.demandSeries = stats.NewTimeSeriesCap(ticks)
-	e.runningSeries = stats.NewTimeSeriesCap(ticks)
-	e.utilSeries = stats.NewTimeSeriesCap(ticks)
 	monitor := sim.NewTicker(e.k, interval, func(now sim.Time) {
-		e.sample(now)
+		e.accrueUtil(now)
+		e.accrueEnergy(now)
 	})
 
 	e.k.SetMaxEvents(50_000_000)
@@ -352,10 +339,6 @@ func RunOn(k *sim.Kernel, sc *Scenario) (*Result, error) {
 
 	return e.finish(), nil
 }
-
-// maxReservedTicks caps the monitoring points reserved per series (16 bytes
-// each); longer runs grow the series by appending.
-const maxReservedTicks = 1 << 16
 
 // submitJob registers the job's tasks and marks dependency-free ones ready.
 func (e *engine) submitJob(job *workload.Job, now sim.Time) {
@@ -387,7 +370,6 @@ func (e *engine) makeReady(t *workload.Task, job *workload.Job, now sim.Time) {
 		Task: t, User: job.User, Submit: job.Submit, Ready: now,
 		RequireAccelerator: t.Accelerator,
 	})
-	e.demand += t.Cores
 }
 
 // armScheduler coalesces scheduler invocations into one per instant.
@@ -579,7 +561,6 @@ func (e *engine) complete(id workload.TaskID, now sim.Time) {
 	r.machine.Release(r.qt.Task.Cores, r.qt.Task.MemoryMB)
 	e.machineGen++
 	e.runningCores -= r.qt.Task.Cores
-	e.demand -= r.qt.Task.Cores
 	rec := e.records[id]
 	rec.Finish = now
 	rec.Completed = true
@@ -636,7 +617,6 @@ func (e *engine) failMachines(fe failure.Event, now sim.Time) {
 			if r.qt.Attempts >= e.maxRetries {
 				rec.Completed = false
 				rec.Finish = now
-				e.demand -= r.qt.Task.Cores
 				continue
 			}
 			r.qt.Ready = now
@@ -654,20 +634,6 @@ func (e *engine) failMachines(fe failure.Event, now sim.Time) {
 		}
 	}
 	e.armScheduler()
-}
-
-// sample records the monitoring series.
-func (e *engine) sample(now sim.Time) {
-	e.accrueUtil(now)
-	e.accrueEnergy(now)
-	e.queueSeries.Add(now, float64(len(e.pending)))
-	e.demandSeries.Add(now, float64(e.demand))
-	e.runningSeries.Add(now, float64(e.runningCores))
-	if e.utilGen != e.machineGen {
-		e.lastUtil = e.scenario.Cluster.Utilization()
-		e.utilGen = e.machineGen
-	}
-	e.utilSeries.Add(now, e.lastUtil)
 }
 
 // accrueEnergy integrates the power model between state changes.
@@ -695,13 +661,9 @@ func (e *engine) accrueUtil(now sim.Time) {
 // finish assembles the result.
 func (e *engine) finish() *Result {
 	res := &Result{
-		FailureEvents:     e.failureEvents,
-		FailureWindow:     e.horizon,
-		QueueLenSeries:    e.queueSeries,
-		DemandSeries:      e.demandSeries,
-		RunningSeries:     e.runningSeries,
-		UtilizationSeries: e.utilSeries,
-		SimulatedEvents:   e.k.Processed(),
+		FailureEvents:   e.failureEvents,
+		FailureWindow:   e.horizon,
+		SimulatedEvents: e.k.Processed(),
 	}
 	n := len(e.records)
 	res.Records = make([]TaskRecord, 0, n)

@@ -351,30 +351,6 @@ func TestDeadlineAccounting(t *testing.T) {
 	}
 }
 
-func TestMonitoringSeriesPopulated(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	w, err := workload.Generate(workload.GeneratorConfig{Jobs: 30}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(&Scenario{
-		Cluster:         dcmodel.NewHomogeneous("c", 4, dcmodel.ClassCommodity, 8),
-		Workload:        w,
-		MonitorInterval: 10 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DemandSeries.Len() == 0 || res.UtilizationSeries.Len() == 0 {
-		t.Error("monitoring series empty")
-	}
-	for _, p := range res.UtilizationSeries.Points() {
-		if p.V < 0 || p.V > 1 {
-			t.Fatalf("utilization sample %v out of [0,1]", p.V)
-		}
-	}
-}
-
 func BenchmarkRun500Jobs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := rand.New(rand.NewSource(1))
