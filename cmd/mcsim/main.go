@@ -58,13 +58,14 @@
 // everywhere else — explicit -trace-format, else the file extension, else
 // gwf. Export to .mcw (the exact native format) and feeding the file back
 // through the document's workload.trace field replays the run to a
-// byte-identical result. -export-csv writes one experiments-style CSV per
+// byte-identical result. -export-csv writes one cell,metric,value CSV per
 // sweep cell, in grid order, into the given directory (a plain run writes
 // a single cell).
 package main
 
 import (
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -76,7 +77,6 @@ import (
 	"time"
 
 	"mcs/internal/dist"
-	"mcs/internal/experiments"
 	"mcs/internal/obs"
 	"mcs/internal/opendc"
 	"mcs/internal/scenario"
@@ -278,9 +278,10 @@ func run(args []string, stdin io.Reader, out, status io.Writer) error {
 	return enc.Encode(res)
 }
 
-// writeCellCSVs writes one experiments-style CSV per result cell into dir,
-// named cell-0000.csv, cell-0001.csv, ... in deterministic grid order. A
-// result without cells (a plain run) is written as its own single cell.
+// writeCellCSVs writes one CSV per result cell into dir, named
+// cell-0000.csv, cell-0001.csv, ... in deterministic grid order: a header
+// row, then one cell,metric,value record per metric. A result without
+// cells (a plain run) is written as its own single cell.
 func writeCellCSVs(dir string, res *scenario.Result) (int, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, err
@@ -294,17 +295,15 @@ func writeCellCSVs(dir string, res *scenario.Result) (int, error) {
 		if key == "" {
 			key = cell.Scenario
 		}
-		rep := &experiments.Report{Columns: []string{"cell", "metric", "value"}}
+		records := [][]string{{"cell", "metric", "value"}}
 		for _, name := range cell.MetricNames() {
-			rep.Rows = append(rep.Rows, []string{
-				key, name, strconv.FormatFloat(cell.Metrics[name], 'g', -1, 64),
-			})
+			records = append(records, []string{key, name, strconv.FormatFloat(cell.Metrics[name], 'g', -1, 64)})
 		}
 		file, err := os.Create(filepath.Join(dir, fmt.Sprintf("cell-%04d.csv", i)))
 		if err != nil {
 			return i, err
 		}
-		if err := rep.FprintCSV(file); err != nil {
+		if err := csv.NewWriter(file).WriteAll(records); err != nil {
 			file.Close()
 			return i, err
 		}
