@@ -17,7 +17,6 @@ package banking
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // AccountID identifies a ledger account.
@@ -188,13 +187,6 @@ func (l *Ledger) CheckConservation() error {
 		return errors.New("banking: negative balance")
 	}
 	return nil
-}
-
-// Accounts returns all account ids, sorted.
-func (l *Ledger) Accounts() []AccountID {
-	out := append([]AccountID(nil), l.ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Entries materializes the committed transfer log from its columns.

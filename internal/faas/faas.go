@@ -488,6 +488,3 @@ func (p *Platform) Drain() *Result {
 	res.ColdFraction = float64(res.ColdStarts) / float64(len(p.records))
 	return res
 }
-
-// Now exposes the platform clock (useful when composing invocations).
-func (p *Platform) Now() sim.Time { return p.k.Now() }

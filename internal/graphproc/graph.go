@@ -38,9 +38,6 @@ func (g *Graph) NumVertices() int { return g.n }
 // NumEdges returns the number of directed edges.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
-// Weighted reports whether the graph carries edge weights.
-func (g *Graph) Weighted() bool { return g.weights != nil }
-
 // Out returns the out-neighbors of v (shared slice; do not mutate).
 func (g *Graph) Out(v int32) []int32 {
 	return g.edges[g.offsets[v]:g.offsets[v+1]]

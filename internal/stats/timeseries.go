@@ -63,17 +63,6 @@ func (ts *TimeSeries) Values() []float64 {
 	return vs
 }
 
-// Window returns the values of observations with from ≤ T < to.
-func (ts *TimeSeries) Window(from, to time.Duration) []float64 {
-	var vs []float64
-	for _, p := range ts.points {
-		if p.T >= from && p.T < to {
-			vs = append(vs, p.V)
-		}
-	}
-	return vs
-}
-
 // Integral returns the time integral of the step function over [from, to],
 // in value·seconds.
 func (ts *TimeSeries) Integral(from, to time.Duration) float64 {
