@@ -1,10 +1,10 @@
 package mcs_test
 
-// This file is the top-level benchmark harness: one benchmark per paper
-// figure (F1–F5) and table (T1–T5), plus the derived experiments (D1–D6)
-// for the quantitative claims the paper imports from companion studies.
-// `go test -bench=. -benchmem` regenerates every experiment; use
-// cmd/mcsbench to print the full report tables.
+// This file holds the repository's gated benchmarks: the kernel, the
+// federation, and the per-engine rungs, each pinned in BENCH_BASELINE.json
+// and checked by cmd/benchguard in CI. The paper's experiments are not
+// benchmarks: examples/paper holds the document-driven ones (pinned in the
+// golden corpus) and cmd/mcsbench prints the rest.
 
 import (
 	"encoding/json"
@@ -16,7 +16,6 @@ import (
 
 	"mcs/internal/banking"
 	"mcs/internal/dcmodel"
-	"mcs/internal/experiments"
 	"mcs/internal/federation"
 	"mcs/internal/gaming"
 	_ "mcs/internal/opendc"
@@ -24,34 +23,6 @@ import (
 	"mcs/internal/sim"
 	"mcs/internal/workload"
 )
-
-// benchExperiment runs one experiment per benchmark iteration and fails the
-// bench if the experiment errors or its headline claim collapses into an
-// empty report.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.Run(id, experiments.Options{Quick: true})
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		if len(rep.Rows) == 0 {
-			b.Fatalf("%s: empty report", id)
-		}
-	}
-}
-
-func BenchmarkFigure1BigDataEcosystem(b *testing.B)     { benchExperiment(b, "F1") }
-func BenchmarkFigure2EvolutionComposition(b *testing.B) { benchExperiment(b, "F2") }
-func BenchmarkFigure3DatacenterRefArch(b *testing.B)    { benchExperiment(b, "F3") }
-func BenchmarkFigure4GamingEcosystem(b *testing.B)      { benchExperiment(b, "F4") }
-func BenchmarkFigure5FaaSRefArch(b *testing.B)          { benchExperiment(b, "F5") }
-
-func BenchmarkTable1Overview(b *testing.B)        { benchExperiment(b, "T1") }
-func BenchmarkTable2Principles(b *testing.B)      { benchExperiment(b, "T2") }
-func BenchmarkTable3Challenges(b *testing.B)      { benchExperiment(b, "T3") }
-func BenchmarkTable4UseCases(b *testing.B)        { benchExperiment(b, "T4") }
-func BenchmarkTable5FieldComparison(b *testing.B) { benchExperiment(b, "T5") }
 
 // BenchmarkKernelThroughput measures raw kernel event throughput with a
 // fleet of self-rescheduling actors — the access pattern every ecosystem
@@ -308,10 +279,3 @@ func BenchmarkDatacenterCell(b *testing.B) {
 // BenchmarkSocialMillionUsers lives in internal/social (it holds the
 // columnar engine state live for the peak-RSS measure); the CI bench job
 // runs both million-entity benchmarks under the same benchguard gate.
-
-func BenchmarkD1AutoscalerMatrix(b *testing.B)   { benchExperiment(b, "D1") }
-func BenchmarkD2CorrelatedFailures(b *testing.B) { benchExperiment(b, "D2") }
-func BenchmarkD3ElasticityMetrics(b *testing.B)  { benchExperiment(b, "D3") }
-func BenchmarkD4GraphPAD(b *testing.B)           { benchExperiment(b, "D4") }
-func BenchmarkD5SocialAware(b *testing.B)        { benchExperiment(b, "D5") }
-func BenchmarkD6PerfVariability(b *testing.B)    { benchExperiment(b, "D6") }

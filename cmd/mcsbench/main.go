@@ -1,21 +1,20 @@
-// Command mcsbench regenerates the paper-reproduction experiments: one per
-// figure (F1–F5) and table (T1–T5) of the paper, plus the derived
-// quantitative experiments (D1–D6). It prints the same rows/series that
-// EXPERIMENTS.md records.
+// Command mcsbench prints the paper-reproduction experiments that still run
+// as fixed compositions of several models: one per figure (F1–F5) and table
+// (T1–T5) of the paper, plus the derived quantitative experiments D3–D6.
 //
 // Usage:
 //
 //	mcsbench -experiment all          # run everything (full sizes)
-//	mcsbench -experiment F5 -quick    # one experiment at unit-test scale
+//	mcsbench -experiment F3 -quick    # one experiment at unit-test scale
 //	mcsbench -list                    # enumerate experiment ids
 //
-// mcsbench sits above the scenario registry on purpose: each experiment is
-// a fixed composition of several models and policies with its own report
-// shape (the paper's figures and tables), not a single dispatchable
-// scenario document — so it drives internal/experiments directly rather
-// than scenario.RunDocument. Parameter studies over one scenario belong to
-// the registry's "sweep" kind (see cmd/mcsim -sweep), which is the
-// document-driven path for experiment campaigns.
+// Experiments that are runs of one registered scenario kind are scenario
+// documents instead, run by cmd/mcsim and pinned in the golden corpus:
+// D1, D2 and the F5 keep-warm sweep live under examples/paper. F5 and T4
+// print the paper's data with the document or kind that runs each row, and
+// T1 and T5 print paper data only. The rest (F1–F4, T2, T3, D3–D6) need a
+// document field or metric no kind has yet, and move to documents as kinds
+// gain them.
 package main
 
 import (
@@ -38,7 +37,7 @@ func main() {
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("mcsbench", flag.ContinueOnError)
 	var (
-		experiment = fs.String("experiment", "all", "experiment id (F1..F5, T1..T5, D1..D6) or 'all'")
+		experiment = fs.String("experiment", "all", "experiment id (F1..F5, T1..T5, D3..D6) or 'all'")
 		quick      = fs.Bool("quick", false, "run at reduced (unit-test) scale")
 		seed       = fs.Int64("seed", 0, "override the experiment seed (0 = per-experiment default)")
 		list       = fs.Bool("list", false, "list experiment ids and exit")

@@ -21,7 +21,7 @@
 // the six Graphalytics kernels, implicit social-network analyses, a
 // PSD2-style banking pipeline, and the ecosystem core itself: layered
 // reference architectures, composable non-functional properties, and the
-// Ecosystem Navigation solver.
+// exhaustive Ecosystem Navigation solver.
 //
 // Every domain is a registered scenario kind — datacenter, faas, gaming,
 // banking, graph, federation, autoscale, social — and the "sweep"
@@ -80,6 +80,8 @@
 // cmd/mcsim (-list enumerates the kinds, -sweep runs grid campaigns,
 // -distributed shards them across worker processes and machines,
 // -export-trace/-export-csv write replayable and plottable artifacts),
-// run experiments with cmd/mcsbench, and see DESIGN.md for the
+// run the paper's document-driven experiments (D1, D2, the F5 keep-warm
+// sweep) from examples/paper with cmd/mcsim, print the remaining figure
+// and table experiments with cmd/mcsbench, and see DESIGN.md for the
 // architecture and system inventory.
 package mcs

@@ -34,8 +34,6 @@ const (
 	MetricThroughput   Metric = "throughput"    // bottleneck (min)
 	MetricAvailability Metric = "availability"  // multiplies
 	MetricCostPerHour  Metric = "cost_per_hour" // adds
-	MetricSecurity     Metric = "security"      // weakest link (min)
-	MetricElasticity   Metric = "elasticity"    // weakest link (min)
 )
 
 // CompositionRule defines how a metric composes over an assembly.
@@ -89,23 +87,6 @@ type Component struct {
 	Origin string
 }
 
-// ProvidesAll reports whether the component provides every capability in cs.
-func (c *Component) ProvidesAll(cs []Capability) bool {
-	for _, want := range cs {
-		found := false
-		for _, have := range c.Provides {
-			if have == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
 // ReferenceArchitecture is an ordered stack of named layers (top first), the
 // community instrument the paper advocates in C9 and §6.1 for navigating
 // ecosystems.
@@ -114,16 +95,6 @@ type ReferenceArchitecture struct {
 	Layers []string // index 0 is the top (user-facing) layer
 	// Optional means assemblies need not fill these layers.
 	Optional map[string]bool
-}
-
-// LayerIndex returns the position of a layer (top = 0), or -1.
-func (ra *ReferenceArchitecture) LayerIndex(layer string) int {
-	for i, l := range ra.Layers {
-		if l == layer {
-			return i
-		}
-	}
-	return -1
 }
 
 // Assembly is a concrete ecosystem: one component per (non-optional) layer

@@ -141,35 +141,8 @@ func TestNavigateHonorsHardConstraints(t *testing.T) {
 	}
 }
 
-func TestNavigateGreedyIsValidAndNearExhaustive(t *testing.T) {
-	req := Requirements{
-		Weights: map[Metric]float64{MetricThroughput: 1},
-	}
-	best, err := Navigate(BigDataArchitecture(), BigDataCatalog(), req, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	greedy, err := NavigateGreedy(BigDataArchitecture(), BigDataCatalog(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := greedy.Assembly.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if greedy.Utility > best[0].Utility {
-		t.Error("greedy beat exhaustive — exhaustive search is broken")
-	}
-	// Greedy should be within 2x on this catalog.
-	if greedy.Utility < best[0].Utility/2 {
-		t.Errorf("greedy utility %v far below exhaustive %v", greedy.Utility, best[0].Utility)
-	}
-}
-
 func TestNavigateNilInputs(t *testing.T) {
 	if _, err := Navigate(nil, nil, Requirements{}, 1); err == nil {
-		t.Error("nil inputs accepted")
-	}
-	if _, err := NavigateGreedy(nil, nil, Requirements{}); err == nil {
 		t.Error("nil inputs accepted")
 	}
 }

@@ -97,74 +97,6 @@ func Navigate(arch *ReferenceArchitecture, catalog *Catalog, req Requirements, k
 	return out, nil
 }
 
-// NavigateGreedy is the satisficing fallback for large catalogs (the
-// "satisficing" of paper §3.5): a depth-first search that fills layers
-// bottom-up, trying candidates in descending marginal utility and returning
-// the first complete assembly that satisfies the hard requirements. Unlike
-// Navigate it does not enumerate the space, so it is fast but may return a
-// sub-optimal assembly; the navigation tests quantify the gap.
-func NavigateGreedy(arch *ReferenceArchitecture, catalog *Catalog, req Requirements) (*Candidate, error) {
-	if arch == nil || catalog == nil {
-		return nil, fmt.Errorf("ecosystem: nil architecture or catalog")
-	}
-	n := len(arch.Layers)
-	// Per layer: candidates in descending marginal utility, with the "skip"
-	// option last for optional layers.
-	options := make([][]*Component, n)
-	for i, layer := range arch.Layers {
-		opts := catalog.Layer(layer)
-		sort.SliceStable(opts, func(a, b int) bool {
-			return utility(opts[a].Props, req.Weights) > utility(opts[b].Props, req.Weights)
-		})
-		if arch.Optional[layer] {
-			opts = append(opts, nil)
-		}
-		options[i] = opts
-	}
-	components := make([]*Component, n)
-	var result *Candidate
-	// Fill bottom-up (layer n-1 first) so Requires can be checked against
-	// what is already below; backtrack on dead ends.
-	var recurse func(i int) bool
-	recurse = func(i int) bool {
-		if i < 0 {
-			asm := &Assembly{Arch: arch, Components: append([]*Component(nil), components...)}
-			if asm.Validate() != nil || !assemblyProvides(asm, req.Capabilities) {
-				return false
-			}
-			sheet := asm.ComposedNFR()
-			for _, c := range req.Constraints {
-				if !c.Satisfied(sheet[c.Metric]) {
-					return false
-				}
-			}
-			result = &Candidate{Assembly: asm, NFR: sheet, Utility: utility(sheet, req.Weights)}
-			return true
-		}
-		var below []Capability
-		for j := i + 1; j < n; j++ {
-			if components[j] != nil {
-				below = append(below, components[j].Provides...)
-			}
-		}
-		for _, opt := range options[i] {
-			if opt != nil && !capsSubset(opt.Requires, below) {
-				continue
-			}
-			components[i] = opt
-			if recurse(i - 1) {
-				return true
-			}
-		}
-		components[i] = nil
-		return false
-	}
-	if !recurse(n - 1) {
-		return nil, ErrNoValidAssembly
-	}
-	return result, nil
-}
-
 func assemblyProvides(asm *Assembly, caps []Capability) bool {
 	var all []Capability
 	for _, c := range asm.Components {

@@ -2,129 +2,18 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
 	"mcs/internal/autoscale"
 	"mcs/internal/dcmodel"
 	"mcs/internal/elasticity"
-	"mcs/internal/failure"
 	"mcs/internal/graphproc"
 	"mcs/internal/opendc"
 	"mcs/internal/social"
 	"mcs/internal/stats"
 	"mcs/internal/workload"
 )
-
-// D1AutoscalerMatrix reproduces the claim the paper imports from [43] (C7):
-// across workload patterns, no single autoscaler dominates — policy/workload
-// matching matters. Seven autoscalers × three demand patterns, scored with
-// the SPEC elasticity risk.
-func D1AutoscalerMatrix(opts Options) (*Report, error) {
-	rep := &Report{
-		ID:       "D1",
-		Title:    "autoscaler × workload elasticity matrix (per [43])",
-		Headline: "no single autoscaler wins across workloads; the per-column winner changes",
-		Columns:  []string{"autoscaler", "flat accU/accO", "bursty accU/accO", "diurnal accU/accO", "mean risk"},
-	}
-	hours := opts.scale(6, 48)
-	demands := map[string]*stats.TimeSeries{
-		"flat":    flatDemand(opts.seed(61), hours),
-		"bursty":  burstyDemand(opts.seed(61), hours),
-		"diurnal": diurnalDemand(opts.seed(61), hours),
-	}
-	order := []string{"flat", "bursty", "diurnal"}
-	weights := elasticity.DefaultRiskWeights()
-	bestRisk := map[string]float64{}
-	bestName := map[string]string{}
-	for _, a := range autoscale.All() {
-		row := []string{a.Name()}
-		totalRisk := 0.0
-		for _, dn := range order {
-			demand := demands[dn]
-			horizon := time.Duration(hours) * time.Hour
-			supply := autoscale.Simulate(a, demand, horizon, autoscale.SimOptions{
-				Interval:          time.Minute,
-				ProvisioningDelay: 2 * time.Minute,
-				MinSupply:         1,
-			})
-			m := elasticity.Compute(demand, supply, horizon, time.Minute)
-			risk := m.Risk(weights)
-			totalRisk += risk
-			row = append(row, f("%.3f/%.3f", m.AccuracyU, m.AccuracyO))
-			if cur, ok := bestRisk[dn]; !ok || risk < cur {
-				bestRisk[dn] = risk
-				bestName[dn] = a.Name()
-			}
-		}
-		row = append(row, f("%.3f", totalRisk/float64(len(order))))
-		rep.Rows = append(rep.Rows, row)
-	}
-	for _, dn := range order {
-		rep.Notes = append(rep.Notes, f("best on %-8s: %s (risk %.3f)", dn, bestName[dn], bestRisk[dn]))
-	}
-	return rep, nil
-}
-
-// D2CorrelatedFailures reproduces the paper's §2.2 claim (refs [26], [27]):
-// with equal failure mass, space/time-correlated failures damage the
-// ecosystem far more than independent failures — deeper simultaneous
-// outages, lower goodput.
-func D2CorrelatedFailures(opts Options) (*Report, error) {
-	rep := &Report{
-		ID:       "D2",
-		Title:    "independent vs correlated failures at equal failure mass",
-		Headline: "correlated failures produce deeper simultaneous outages and hurt goodput more",
-		Columns:  []string{"model", "machine failures", "max concurrent down", "availability", "completed", "restarts", "mean wait"},
-	}
-	machines := opts.scale(16, 64)
-	horizonH := opts.scale(24, 240)
-	horizon := time.Duration(horizonH) * time.Hour
-	r := rand.New(rand.NewSource(opts.seed(62)))
-	w, err := workload.Generate(workload.GeneratorConfig{
-		Jobs:    opts.scale(150, 1500),
-		Arrival: workload.Poisson{RatePerHour: float64(opts.scale(150, 1500)) / float64(horizonH) * 1.5},
-	}, r)
-	if err != nil {
-		return nil, fmt.Errorf("D2 workload: %w", err)
-	}
-	mtbf := 90 * time.Minute
-	repair := 20 * time.Minute
-	models := []struct {
-		name  string
-		model *failure.Model
-	}{
-		{"independent", failure.IndependentModel(mtbf, repair)},
-		{"correlated", failure.CorrelatedModel(mtbf, repair, 8)},
-	}
-	for _, m := range models {
-		cluster := dcmodel.NewHomogeneous("dc", machines, dcmodel.ClassCommodity, 8)
-		res, err := opendc.Run(&opendc.Scenario{
-			Cluster: cluster, Workload: w, Failures: m.model,
-			Horizon: horizon, Seed: opts.seed(62),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("D2 %s: %w", m.name, err)
-		}
-		// Offline availability analysis on a fresh trace with same params.
-		events, err := m.model.Generate(machines, horizon, nil, rand.New(rand.NewSource(opts.seed(62))))
-		if err != nil {
-			return nil, err
-		}
-		an := failure.Analyze(events, machines, horizon)
-		rep.Rows = append(rep.Rows, []string{
-			m.name,
-			f("%d", an.MachineFailures),
-			f("%d", an.MaxConcurrentDown),
-			f("%.4f", an.Availability),
-			f("%d/%d", res.Completed, res.Completed+res.Failed),
-			f("%d", res.FailureRestarts),
-			res.MeanWait.Round(time.Millisecond).String(),
-		})
-	}
-	return rep, nil
-}
 
 // D3ElasticityMetrics reproduces the SPEC RG elasticity metric set of [32]
 // (P3/C3): the metrics discriminate under-, over-, and well-provisioned
@@ -410,30 +299,6 @@ func D6PerfVariability(opts Options) (*Report, error) {
 }
 
 // --- demand-shape helpers ---
-
-func flatDemand(seed int64, hours int) *stats.TimeSeries {
-	r := rand.New(rand.NewSource(seed))
-	ts := stats.NewTimeSeries()
-	for m := 0; m < hours*60; m += 5 {
-		ts.Add(time.Duration(m)*time.Minute, float64(18+r.Intn(5)))
-	}
-	return ts
-}
-
-func diurnalDemand(seed int64, hours int) *stats.TimeSeries {
-	r := rand.New(rand.NewSource(seed))
-	ts := stats.NewTimeSeries()
-	for m := 0; m < hours*60; m += 5 {
-		h := float64(m) / 60
-		base := 20 + 15*sinDay(h)
-		ts.Add(time.Duration(m)*time.Minute, base+float64(r.Intn(4)))
-	}
-	return ts
-}
-
-func sinDay(hours float64) float64 {
-	return math.Sin(2 * math.Pi * hours / 24)
-}
 
 func constSeries(v float64) *stats.TimeSeries {
 	ts := stats.NewTimeSeries()

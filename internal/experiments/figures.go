@@ -7,7 +7,6 @@ import (
 
 	"mcs/internal/dcmodel"
 	"mcs/internal/ecosystem"
-	"mcs/internal/faas"
 	"mcs/internal/gaming"
 	"mcs/internal/graphproc"
 	"mcs/internal/opendc"
@@ -188,7 +187,7 @@ func F3DatacenterRefArch(opts Options) (*Report, error) {
 			3: "cluster resource pool (internal/opendc)",
 			2: "event kernel services (internal/sim)",
 			1: "machines/racks/power (internal/dcmodel)",
-			0: "monitoring series + failure injection (internal/{stats,failure})",
+			0: "monitor ticks + failure injection (internal/{opendc,failure})",
 		}[l.Number]
 		rep.Rows = append(rep.Rows, []string{f("L%d %s", l.Number, l.Name), l.Role, "maps-to", model})
 	}
@@ -293,60 +292,28 @@ func F4GamingEcosystem(opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// F5FaaSRefArch reproduces Figure 5: the FaaS reference architecture. It
-// drives the four-layer platform with a bursty invocation workload and
-// sweeps the keep-warm pool, exposing the cold-start tail-latency/cost
-// trade-off; per-layer event counts map the run back onto the figure.
-func F5FaaSRefArch(opts Options) (*Report, error) {
+// F5FaaSRefArch prints Figure 5, the four-layer FaaS reference
+// architecture, with the part of the faas scenario kind that models each
+// layer. The figure's cold-start trade-off runs as a document:
+// examples/paper/f5-keepwarm.json sweeps the keep-warm pool, and its result
+// is pinned in the golden corpus.
+func F5FaaSRefArch(Options) (*Report, error) {
 	rep := &Report{
 		ID:    "F5",
 		Title: "FaaS reference architecture (Figure 5)",
 		Headline: "function management must trade isolation and cost against cold-start " +
 			"latency: keep-warm pools buy tail latency with instance-seconds",
-		Columns: []string{"keep-warm", "p50", "p95", "p99", "cold%", "instance-s", "peak inst"},
+		Columns: []string{"layer", "name", "role", "fig. 3 layer", "run by"},
 	}
-	n := opts.scale(500, 5000)
-	for _, keepWarm := range []int{0, 1, 2, 4} {
-		p, err := faas.NewPlatform(faas.Config{
-			Seed:        opts.seed(45),
-			IdleTimeout: time.Minute,
-			KeepWarm:    keepWarm,
-		}, []faas.Function{
-			{Name: "api", Exec: stats.Truncate{D: stats.LogNormal{Mu: -2, Sigma: 0.7}, Lo: 0.01, Hi: 3}, ColdStart: 2 * time.Second, MemoryMB: 256},
-			{Name: "thumb", Exec: stats.Truncate{D: stats.LogNormal{Mu: -1, Sigma: 0.6}, Lo: 0.05, Hi: 10}, ColdStart: 3 * time.Second, MemoryMB: 512},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("F5 platform: %w", err)
-		}
-		// Bursty arrivals: quiet background with periodic bursts.
-		arr := &workload.MMPP2{CalmRatePerHour: 120, BurstRatePerHour: 7200, MeanCalm: 20 * time.Minute, MeanBurst: 2 * time.Minute}
-		r := rand.New(rand.NewSource(opts.seed(45)))
-		var at time.Duration
-		for i := 0; i < n; i++ {
-			at += arr.Next(r)
-			fn := "api"
-			if r.Float64() < 0.3 {
-				fn = "thumb"
-			}
-			if err := p.Invoke(faas.Invocation{Function: fn, At: at}, nil); err != nil {
-				return nil, fmt.Errorf("F5 invoke: %w", err)
-			}
-		}
-		res := p.Drain()
-		rep.Rows = append(rep.Rows, []string{
-			f("%d", keepWarm),
-			res.P50Latency.Round(time.Millisecond).String(),
-			res.P95Latency.Round(time.Millisecond).String(),
-			res.P99Latency.Round(time.Millisecond).String(),
-			f("%.1f", res.ColdFraction*100),
-			f("%.0f", res.InstanceSeconds),
-			f("%d", res.PeakInstances),
-		})
-		if keepWarm == 0 {
-			for _, layer := range []string{faas.LayerComposition, faas.LayerManagement, faas.LayerOrchestration, faas.LayerResources} {
-				rep.Notes = append(rep.Notes, f("layer %-22s events: %d", layer, res.LayerEvents[layer]))
-			}
-		}
+	runBy := map[int]string{
+		4: `faas kind: "functions" block`,
+		3: `faas kind: "keepWarm", "idleTimeoutSeconds", "maxInstances"`,
+		2: "faas kind: instance pool (instanceSeconds, peakInstances)",
+		1: `faas kind: "failures" overlay`,
 	}
+	for _, l := range ecosystem.FaaSArchitecture() {
+		rep.Rows = append(rep.Rows, []string{f("L%d", l.Number), l.Name, l.Role, f("L%d", l.Fig3Layer), runBy[l.Number]})
+	}
+	rep.Notes = append(rep.Notes, "run: mcsim -scenario examples/paper/f5-keepwarm.json (keep-warm 0, 1, 2, 4)")
 	return rep, nil
 }

@@ -1,13 +1,12 @@
-// Package experiments implements the reproduction harness: one executable
-// experiment per figure and table of the paper (F1–F5, T1–T5) plus the
-// derived quantitative experiments (D1–D6) for the claims the paper imports
-// from its companion studies. Each experiment returns a Report whose rows
-// are the series/tables EXPERIMENTS.md records; cmd/mcsbench prints them and
-// the root bench_test.go regenerates them under `go test -bench`.
+// Package experiments implements the paper experiments that are not yet
+// scenario documents: one per figure (F1–F5) and table (T1–T5) of the paper
+// plus the derived quantitative experiments D3–D6. Each returns a Report,
+// which cmd/mcsbench prints. D1, D2 and the F5 keep-warm sweep run as sweep
+// documents under examples/paper; their claims are tested here against the
+// results pinned in the scenario golden corpus.
 package experiments
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"sort"
@@ -85,23 +84,6 @@ func (r *Report) String() string {
 	return sb.String()
 }
 
-// FprintCSV renders the report's table as CSV — the machine-readable form
-// figure pipelines consume (one header row of Columns, then Rows). ID,
-// Title, and Notes are presentation-only and are not emitted.
-func (r *Report) FprintCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(r.Columns); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // Options tunes experiment execution.
 type Options struct {
 	// Quick shrinks workload sizes so the experiment finishes in unit-test
@@ -141,8 +123,6 @@ func Registry() map[string]Runner {
 		"T3": T3Challenges,
 		"T4": T4UseCases,
 		"T5": T5FieldComparison,
-		"D1": D1AutoscalerMatrix,
-		"D2": D2CorrelatedFailures,
 		"D3": D3ElasticityMetrics,
 		"D4": D4GraphPAD,
 		"D5": D5SocialAware,
@@ -157,7 +137,7 @@ func IDs() []string {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	// Sort F, T, D blocks in paper order: F1..F5, T1..T5, D1..D6.
+	// Sort F, T, D blocks in paper order: F1..F5, T1..T5, D3..D6.
 	order := func(id string) int {
 		rank := map[byte]int{'F': 0, 'T': 1, 'D': 2}[id[0]]
 		return rank*100 + int(id[1]-'0')

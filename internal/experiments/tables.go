@@ -7,14 +7,10 @@ import (
 	"time"
 
 	"mcs/internal/autoscale"
-	"mcs/internal/banking"
 	"mcs/internal/dcmodel"
 	"mcs/internal/ecosystem"
 	"mcs/internal/elasticity"
-	"mcs/internal/faas"
 	"mcs/internal/federation"
-	"mcs/internal/gaming"
-	"mcs/internal/graphproc"
 	"mcs/internal/opendc"
 	"mcs/internal/sched"
 	"mcs/internal/stats"
@@ -34,9 +30,9 @@ func T1Overview(Options) (*Report, error) {
 	impl := map[string]string{
 		"design":                       "internal/ecosystem (reference architectures, navigation)",
 		"quantitative":                 "internal/stats (measurement, observation series)",
-		"experimentation & simulation": "internal/{sim,opendc}, internal/experiments (benchmarking)",
+		"experimentation & simulation": "internal/{sim,scenario}, examples/paper (sweep documents)",
 		"empirical":                    "internal/{trace,social} (correlation analyses)",
-		"instrumentation":              "internal/opendc monitoring, cmd/mcsbench",
+		"instrumentation":              "internal/obs (progress events, kernel telemetry), cmd/mcsbench",
 		"formal models":                "internal/elasticity, internal/gaming consistency cost models",
 	}
 	for _, row := range ecosystem.Table1Overview() {
@@ -252,106 +248,32 @@ func T3Challenges(opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// T4UseCases reproduces Table 4: one micro-experiment per use case, each
-// reporting the headline metric of its domain.
-func T4UseCases(opts Options) (*Report, error) {
+// T4UseCases prints Table 4, the six use cases, with the registered
+// scenario kind that runs each domain end to end. Every kind has a document
+// in the golden corpus, so each row's claim is checked there.
+func T4UseCases(Options) (*Report, error) {
 	rep := &Report{
 		ID:       "T4",
 		Title:    "selected use-cases for MCS (Table 4)",
 		Headline: "each of the six application domains runs end-to-end on the toolkit",
-		Columns:  []string{"§", "use case", "direction", "headline metric", "value"},
+		Columns:  []string{"§", "use case", "direction", "key aspects", "run by"},
 	}
-	seed := opts.seed(54)
-	r := rand.New(rand.NewSource(seed))
-
-	// 6.1 datacenter management.
-	w, err := workload.Generate(workload.GeneratorConfig{Jobs: opts.scale(60, 400)}, r)
-	if err != nil {
-		return nil, err
+	runBy := map[string]string{
+		"6.1": "datacenter kind (examples/sweep/portfolio.json, examples/paper/d2-failures.json)",
+		"6.5": "faas kind (examples/paper/f5-keepwarm.json)",
+		"6.6": "graph kind",
+		"6.2": `datacenter kind, "workload": {"shape": "dag"}`,
+		"6.3": "gaming kind",
+		"6.4": "banking kind",
 	}
-	dcRes, err := opendc.Run(&opendc.Scenario{
-		Cluster:  dcmodel.NewHomogeneous("dc", opts.scale(8, 32), dcmodel.ClassCommodity, 16),
-		Workload: w,
-		Sched:    sched.Config{Queue: sched.SJF{}, Mode: sched.EASY},
-		Seed:     seed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("T4 datacenter: %w", err)
-	}
-	rep.Rows = append(rep.Rows, []string{"6.1", "datacenter management", "endogenous",
-		"utilization / energy", f("%.2f / %.1f kWh", dcRes.Utilization, dcRes.EnergyKWh)})
-
-	// 6.5 serverless.
-	p, err := faas.NewPlatform(faas.Config{Seed: seed, KeepWarm: 1}, []faas.Function{
-		{Name: "fn", Exec: stats.Exponential{Rate: 10}, ColdStart: 2 * time.Second},
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < opts.scale(300, 3000); i++ {
-		if err := p.Invoke(faas.Invocation{Function: "fn", At: time.Duration(i) * 3 * time.Second}, nil); err != nil {
-			return nil, err
+	for _, u := range ecosystem.Table4UseCases() {
+		direction := "exogenous"
+		if u.Endogenous {
+			direction = "endogenous"
 		}
+		rep.Rows = append(rep.Rows, []string{u.Section, u.Description, direction, u.KeyAspects, runBy[u.Section]})
 	}
-	faasRes := p.Drain()
-	rep.Rows = append(rep.Rows, []string{"6.5", "emerging application structures", "endogenous",
-		"p95 latency / cold%", f("%s / %.1f%%", faasRes.P95Latency.Round(time.Millisecond), faasRes.ColdFraction*100)})
-
-	// 6.6 generalized graph processing.
-	g, err := graphproc.Generate(graphproc.RMAT, opts.scale(10, 14), 8, false, r)
-	if err != nil {
-		return nil, err
-	}
-	gRes, err := graphproc.RunAlgorithm(g, graphproc.AlgBFS, graphproc.ParallelBSP)
-	if err != nil {
-		return nil, err
-	}
-	rep.Rows = append(rep.Rows, []string{"6.6", "generalized graph processing", "endogenous",
-		"BFS EVPS", f("%.2e", gRes.EVPS)})
-
-	// 6.2 future science: a bag of scientific workflows.
-	sci, err := workload.Generate(workload.GeneratorConfig{
-		Jobs: opts.scale(30, 150), Shape: workload.RandomDAG,
-		TasksPerJob: stats.Uniform{Lo: 8, Hi: 40},
-	}, r)
-	if err != nil {
-		return nil, err
-	}
-	sciRes, err := opendc.Run(&opendc.Scenario{
-		Cluster:  dcmodel.NewHomogeneous("escience", opts.scale(8, 32), dcmodel.ClassCommodity, 16),
-		Workload: sci,
-		Seed:     seed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("T4 escience: %w", err)
-	}
-	rep.Rows = append(rep.Rows, []string{"6.2", "future science", "exogenous",
-		"workflow goodput", f("%.0f tasks/h", sciRes.GoodputTasksPerHour)})
-
-	// 6.3 online gaming.
-	world, err := gaming.RunWorld(gaming.WorldConfig{
-		Zones: 8, ZoneCapacity: 100,
-		ArrivalPerHour: float64(opts.scale(1000, 4000)), DiurnalAmp: 0.7,
-		Horizon: time.Duration(opts.scale(6, 24)) * time.Hour, Seed: seed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("T4 gaming: %w", err)
-	}
-	playersPerServer := 0.0
-	if world.MeanServers > 0 {
-		playersPerServer = float64(world.PeakConcurrent) / world.MeanServers
-	}
-	rep.Rows = append(rep.Rows, []string{"6.3", "online gaming", "exogenous",
-		"peak players per server", f("%.1f", playersPerServer)})
-
-	// 6.4 future banking.
-	txs := banking.GenerateTransactions(opts.scale(1000, 10000), 0.5, seed)
-	bankRes, err := banking.RunClearing(banking.DefaultPipeline(), txs, banking.EDF, seed)
-	if err != nil {
-		return nil, fmt.Errorf("T4 banking: %w", err)
-	}
-	rep.Rows = append(rep.Rows, []string{"6.4", "future banking", "exogenous",
-		"PSD2 deadline miss rate (EDF)", f("%.4f", bankRes.MissRate)})
+	rep.Notes = append(rep.Notes, "run any row: mcsim -example -kind <kind> > doc.json && mcsim -scenario doc.json")
 	return rep, nil
 }
 

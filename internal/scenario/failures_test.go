@@ -4,8 +4,8 @@ package scenario_test
 // envelope (PR: "failures" section + scenario.Common redesign). The
 // load-bearing contracts:
 //
-//   - documents WITHOUT a "failures" section produce byte-identical results
-//     to the pre-envelope binary (golden captures in testdata/golden);
+//   - every golden document (testdata/golden and examples/paper) parses
+//     under Strict and reproduces its captured result bytes;
 //   - documents WITH the section are seed-stable and their failure timeline
 //     derives from the document seed, never the kernel RNG;
 //   - every failure parameter is a JSON-pointer sweep axis whose combined
@@ -16,8 +16,11 @@ package scenario_test
 import (
 	"bytes"
 	"encoding/json"
+	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -56,24 +59,48 @@ func runDocBytes(t *testing.T, doc string) []byte {
 	return encodeResult(t, res)
 }
 
-// TestGoldenDocsByteIdentical replays every captured pre-envelope document
-// and compares result bytes against the golden output of the pre-PR binary.
-// This is the acceptance bar of the envelope redesign: promoting the header
-// into scenario.Common must not move a single byte for existing documents.
-func TestGoldenDocsByteIdentical(t *testing.T) {
-	docs, err := filepath.Glob(filepath.Join("testdata", "golden", "*.doc.json"))
+// goldenDocs maps each golden subtest name to its document: the captured
+// per-kind documents under testdata/golden, and the paper experiments under
+// examples/paper, whose results are captured as testdata/golden/paper-*.
+func goldenDocs(t testing.TB) map[string]string {
+	t.Helper()
+	docs := map[string]string{}
+	captured, err := filepath.Glob(filepath.Join("testdata", "golden", "*.doc.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(docs) == 0 {
-		t.Fatal("no golden documents found")
+	for _, p := range captured {
+		docs[strings.TrimSuffix(filepath.Base(p), ".doc.json")] = p
 	}
-	for _, docPath := range docs {
-		name := strings.TrimSuffix(filepath.Base(docPath), ".doc.json")
+	paper, err := filepath.Glob(filepath.Join("..", "..", "examples", "paper", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range paper {
+		docs["paper-"+strings.TrimSuffix(filepath.Base(p), ".json")] = p
+	}
+	if len(captured) == 0 || len(paper) == 0 {
+		t.Fatalf("golden documents missing: %d captured, %d paper", len(captured), len(paper))
+	}
+	return docs
+}
+
+// TestGoldenDocsByteIdentical replays every golden document, checks it
+// parses under Strict (a misspelled field would otherwise fall back to its
+// default silently), and compares the result bytes against the committed
+// capture. Any change that moves a report byte of an existing document
+// fails here.
+func TestGoldenDocsByteIdentical(t *testing.T) {
+	docs := goldenDocs(t)
+	for _, name := range slices.Sorted(maps.Keys(docs)) {
+		docPath := docs[name]
 		t.Run(name, func(t *testing.T) {
 			doc, err := os.ReadFile(docPath)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if err := scenario.Strict(doc); err != nil {
+				t.Fatalf("%s: %v", docPath, err)
 			}
 			want, err := os.ReadFile(filepath.Join("testdata", "golden", name+".result.json"))
 			if err != nil {
@@ -81,9 +108,35 @@ func TestGoldenDocsByteIdentical(t *testing.T) {
 			}
 			got := runDocBytes(t, string(doc))
 			if !bytes.Equal(got, want) {
-				t.Errorf("result bytes changed for pre-envelope document %s:\n--- golden ---\n%s\n--- now ---\n%s", name, want, got)
+				t.Errorf("result bytes changed for golden document %s:\n--- golden ---\n%s\n--- now ---\n%s", name, want, got)
 			}
 		})
+	}
+}
+
+// TestExampleDocsStrict checks every scenario document committed under
+// examples/ against its kind's schema with unknown fields disallowed.
+func TestExampleDocsStrict(t *testing.T) {
+	n := 0
+	err := filepath.WalkDir(filepath.Join("..", "..", "examples"), func(p string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(p) != ".json" {
+			return err
+		}
+		n++
+		doc, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		if err := scenario.Strict(doc); err != nil {
+			t.Errorf("%s: %v", p, err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n == 0 {
+		t.Fatal("no example documents found")
 	}
 }
 
