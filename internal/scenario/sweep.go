@@ -73,6 +73,11 @@ type Cell struct {
 	Seed int64
 }
 
+// MaxSweepCells bounds the cells one sweep document may expand to
+// (repetitions included), so a hostile or mistyped grid is refused before
+// any cell is built.
+const MaxSweepCells = 1 << 16
+
 // ExpandGrid expands the cross product of a sweep's grid against its base
 // document into deterministic cell order: paths sorted lexicographically,
 // the last path cycling fastest (odometer order), repetitions innermost.
@@ -102,9 +107,16 @@ func ExpandGrid(cfg SweepJSON) ([]Cell, error) {
 	if reps <= 0 {
 		reps = 1
 	}
+	tooMany := fmt.Errorf("sweep: grid expands to more than %d cells", MaxSweepCells)
+	if reps > MaxSweepCells {
+		return nil, tooMany
+	}
 	total := reps
 	for _, p := range paths {
-		total *= len(cfg.Grid[p])
+		// total ≤ MaxSweepCells here, so the product cannot overflow.
+		if total *= len(cfg.Grid[p]); total > MaxSweepCells {
+			return nil, tooMany
+		}
 	}
 	cells := make([]Cell, 0, total)
 	idx := make([]int, len(paths))

@@ -141,6 +141,30 @@ func TestExpandGridDegenerateCases(t *testing.T) {
 	}
 }
 
+// TestExpandGridRejectsOversizedGrids pins the cell bound: repetitions or
+// a grid product past MaxSweepCells (including one that overflows int) is
+// an error before any cell is built, and the bound itself is accepted.
+func TestExpandGridRejectsOversizedGrids(t *testing.T) {
+	eight := `[1, 2, 3, 4, 5, 6, 7, 8]`
+	var paths []string
+	for i := 0; i < 22; i++ {
+		paths = append(paths, fmt.Sprintf("%q: %s", fmt.Sprintf("/p%d", i), eight))
+	}
+	for name, doc := range map[string]string{
+		"repetitions":      `{"base": {"kind": "banking"}, "repetitions": 9223372036854775807}`,
+		"bound+1":          fmt.Sprintf(`{"base": {"kind": "banking"}, "repetitions": %d}`, scenario.MaxSweepCells+1),
+		"product overflow": `{"base": {"kind": "banking"}, "grid": {` + strings.Join(paths, ", ") + `}}`,
+	} {
+		if _, err := scenario.ExpandGrid(sweepCfg(t, doc)); err == nil || !strings.Contains(err.Error(), "cells") {
+			t.Errorf("%s: err = %v, want the cell bound", name, err)
+		}
+	}
+	cells, err := scenario.ExpandGrid(sweepCfg(t, fmt.Sprintf(`{"base": {"kind": "banking"}, "repetitions": %d}`, scenario.MaxSweepCells)))
+	if err != nil || len(cells) != scenario.MaxSweepCells {
+		t.Errorf("at the bound: %d cells, err %v", len(cells), err)
+	}
+}
+
 func TestExpandGridNestedPathsAndRepetitions(t *testing.T) {
 	cells, err := scenario.ExpandGrid(sweepCfg(t, `{
 		"seed": 4,
