@@ -173,8 +173,9 @@ func BenchmarkGamingMillionSessions(b *testing.B) {
 // transactions through the four-stage clearing pipeline under each queue
 // discipline — the banking counterpart of the million-entity gates. The
 // workload is generated once outside the timer; each iteration replays it
-// on a fresh kernel through the columnar pipeline (handle columns, ring/
-// 4-ary-heap queues, streamed admission). events/sec counts every kernel
+// on a fresh kernel through the pipeline (index handles into the
+// transaction column, per-slot completion handlers, ring/4-ary-heap
+// queues, streamed admission). events/sec counts every kernel
 // event (admissions, service completions, zero-delay re-admissions);
 // peakRSS-MB is the live-heap proxy with the workload and result still
 // referenced. Both are pinned in BENCH_BASELINE.json and gated by

@@ -18,15 +18,15 @@ func mallocsDuring(f func()) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// TestRunClearingSteadyStateAllocs pins the columnar pipeline's allocation
+// TestRunClearingSteadyStateAllocs pins the pipeline's allocation
 // behavior along the churn axis: doubling the transaction count over the
 // same pipeline roughly doubles the event count (admissions, service
-// completions, zero-delay re-admissions) while the handle columns stay
-// sized by peak in-flight backlog. The allocation delta between the two
-// runs must be amortized-growth noise (column and queue doublings, the
-// per-run lats slice), not per-event cost — admission shares one stream
-// handler, completions recycle per-handle closures, and queue pushes land
-// in retained ring/heap arrays.
+// completions, zero-delay re-admissions) while the per-run allocations
+// stay a fixed handful plus queue growth. The allocation delta between
+// the two runs must be amortized-growth noise (queue doublings, the
+// per-run arrival and latency columns), not per-event cost — admission
+// shares one stream handler, completions fire through per-slot handlers
+// built once per run, and queue pushes land in retained ring/heap arrays.
 func TestRunClearingSteadyStateAllocs(t *testing.T) {
 	txs := GenerateTransactions(60_000, 0.5, 101)
 	half := txs[:30_000]
@@ -95,9 +95,8 @@ func TestLedgerTransferWarmAllocs(t *testing.T) {
 }
 
 // TestConfigureBytesPerTransaction bounds what a synthetic Configure
-// allocates per transaction: the draw keys with their sort scratch, the
-// amount column and the transaction column (~72 B), with no job/task form
-// built until an export asks for it.
+// allocates per transaction: the transaction column (32 B), ordered in
+// place, with no job/task form built until an export asks for it.
 func TestConfigureBytesPerTransaction(t *testing.T) {
 	const n = 100_000
 	doc := json.RawMessage(`{"kind": "banking", "seed": 3, "transactions": 100000, "instantShare": 0.5}`)
@@ -110,7 +109,31 @@ func TestConfigureBytesPerTransaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.KeepAlive(s)
-	if perTx := float64(after.TotalAlloc-before.TotalAlloc) / n; perTx > 96 {
-		t.Errorf("Configure allocates %.0f bytes per transaction, want ≤ 96", perTx)
+	if perTx := float64(after.TotalAlloc-before.TotalAlloc) / n; perTx > 40 {
+		t.Errorf("Configure allocates %.0f bytes per transaction, want ≤ 40", perTx)
+	}
+}
+
+// TestRunClearingBytesPerTransaction bounds what an EDF clearing run
+// allocates per transaction beside the column it clears: the arrival
+// times the kernel stream reads and the latency sample (8 B each), the
+// station queues with their growth, and the kernel's own event storage.
+func TestRunClearingBytesPerTransaction(t *testing.T) {
+	const n = 100_000
+	txs := GenerateTransactions(n, 0.5, 3)
+	k := sim.New(3)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := RunClearingOn(k, DefaultPipeline(), txs, EDF)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != n {
+		t.Fatalf("completed %d of %d", res.Completed, n)
+	}
+	if perTx := float64(after.TotalAlloc-before.TotalAlloc) / n; perTx > 32 {
+		t.Errorf("an EDF run allocates %.0f bytes per transaction, want ≤ 32", perTx)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"mcs/internal/sim"
 	"mcs/internal/stats"
 	"mcs/internal/trace"
 )
@@ -264,6 +266,44 @@ func TestRunClearingFailsOnExhaustedBudget(t *testing.T) {
 	clearingEventBudget = 1_000_000
 	if res, err := RunClearing(DefaultPipeline(), txs, EDF, 11); err != nil || res.Completed != len(txs) {
 		t.Fatalf("run within budget: %v %+v", err, res)
+	}
+}
+
+// TestCheckClearingSizeBounds: a run indexes transactions with int32
+// handles and numbers a station's EDF pushes in 32 bits, so the stream
+// length, and the length plus the event budget, must fit; the bounds are
+// checked on plain integers, without building such a stream.
+func TestCheckClearingSizeBounds(t *testing.T) {
+	for _, tc := range []struct {
+		n      int
+		budget uint64
+		want   string // "" for accepted
+	}{
+		{0, 20_000_000, ""},
+		{math.MaxInt32, 1 << 31, ""},
+		{math.MaxInt32 + 1, 0, "exceed"},
+		{math.MaxInt64, 20_000_000, "exceed"},
+		{math.MaxInt32, 1<<31 + 1, "overflow"},
+		{1, math.MaxUint32, "overflow"},
+		{0, math.MaxUint32, ""},
+	} {
+		err := checkClearingSize(tc.n, tc.budget)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("n=%d budget=%d refused: %v", tc.n, tc.budget, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("n=%d budget=%d: error %v, want one naming %q", tc.n, tc.budget, err, tc.want)
+		}
+	}
+	// RunClearingOn applies the bound before it schedules anything.
+	defer func(b uint64) { clearingEventBudget = b }(clearingEventBudget)
+	clearingEventBudget = math.MaxUint32
+	k := sim.New(1)
+	if res, err := RunClearingOn(k, DefaultPipeline(), GenerateTransactions(1, 0.5, 1), EDF); err == nil || !strings.Contains(err.Error(), "overflow") {
+		t.Fatalf("run past the bound: %v %+v", err, res)
+	}
+	if k.Pending() != 0 {
+		t.Errorf("refused run left %d events scheduled", k.Pending())
 	}
 }
 

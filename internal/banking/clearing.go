@@ -2,6 +2,7 @@ package banking
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"mcs/internal/sim"
@@ -16,15 +17,16 @@ import (
 // the paper's point (iii): "making resource management and scheduling a key
 // building block, capable of ensuring ... deadlines".
 //
-// The hot path is columnar (the PR 8 scheme gaming and social use): a
-// transaction in flight is an int32 handle into struct-of-arrays columns
-// (arrive/deadline/cents/stage), its per-handle completion closure is built
-// once and recycled with the handle through a free list, per-stage queues
-// are a FIFO ring (FCFS) or a 4-ary index min-heap (EDF — see queues.go
-// for the tie-break argument), and arrivals are admitted as one sorted
-// kernel stream. A steady-state event — service completion, queue pull,
-// next-stage hand-off — therefore allocates nothing; the columns grow to
-// the peak number of in-flight transactions, not the workload size.
+// The hot path works on the caller's transaction column in place: a
+// transaction in flight is its int32 index into txs, a station's server
+// slot records which transaction it serves, and every completion fires
+// through its slot's handler, built once per run. Per-stage queues are a
+// FIFO ring (FCFS) or a 4-ary min-heap of 16-byte entries (EDF — see
+// queues.go for the tie-break argument), and arrivals are admitted as one
+// sorted kernel stream. Beside the column, a run allocates the arrival
+// times the stream reads, the latency sample, and its queues; a steady-
+// state event — service completion, queue pull, next-stage hand-off —
+// allocates nothing.
 
 // Stage is one station of the clearing pipeline.
 type Stage struct {
@@ -91,15 +93,17 @@ type ClearingResult struct {
 // handles, and readmit parks the handles whose zero-delay re-admission
 // event is in flight, so the shared per-station handler needs no closure
 // per pull (the kernel fires same-station re-admits in schedule order, the
-// order readmit preserves).
+// order readmit preserves). Server slot j serves serving[j] and completes
+// through doneH[j]; idle lists the free slots.
 type station struct {
-	busy     int
-	cap      int
 	svc      stats.Dist
 	fifo     handleRing
 	edf      edfHeap
 	readmit  handleRing
 	readmitH sim.Handler
+	serving  []int32
+	idle     []int32
+	doneH    []sim.Handler
 }
 
 // clearingEventBudget caps the kernel events one clearing run may fire
@@ -116,6 +120,21 @@ func RunClearing(pipeline []Stage, txs []Transaction, disc QueueDiscipline, seed
 	return RunClearingOn(sim.New(seed), pipeline, txs, disc)
 }
 
+// checkClearingSize refuses a stream of n transactions that a run cannot
+// index in 32 bits, under an event budget: a handle is an int32 index into
+// the column, and a station's EDF sequence number (32 bits of an edfHeap
+// entry) counts its pushes — at most one per transaction plus one per
+// re-admission event, so at most n plus the budget.
+func checkClearingSize(n int, budget uint64) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("banking: %d transactions exceed the %d a clearing run can index", n, math.MaxInt32)
+	}
+	if uint64(n)+budget > math.MaxUint32 {
+		return fmt.Errorf("banking: %d transactions under an event budget of %d overflow the 32-bit queue sequence", n, budget)
+	}
+	return nil
+}
+
 // RunClearingOn runs the pipeline on a caller-provided kernel — the entry
 // point used by the scenario registry, where the runner owns the kernel.
 func RunClearingOn(k *sim.Kernel, pipeline []Stage, txs []Transaction, disc QueueDiscipline) (*ClearingResult, error) {
@@ -127,46 +146,33 @@ func RunClearingOn(k *sim.Kernel, pipeline []Stage, txs []Transaction, disc Queu
 			return nil, fmt.Errorf("banking: stage %q misconfigured", st.Name)
 		}
 	}
-	stations := make([]station, len(pipeline))
-	for i, st := range pipeline {
-		stations[i] = station{cap: st.Servers, svc: st.ServiceSeconds}
+	if err := checkClearingSize(len(txs), clearingEventBudget); err != nil {
+		return nil, err
 	}
 	res := &ClearingResult{}
-
-	// Transaction columns, indexed by handle. A handle is live from arrival
-	// to settlement and then recycled; completion statistics fold into the
-	// accumulators below at settlement time, in completion order — the same
-	// order (and float arithmetic) the old done-list post-pass used.
-	var (
-		arrive   []time.Duration
-		deadline []time.Duration
-		cents    []int64
-		stage    []int32
-		finishH  []sim.Handler
-		free     []int32
-	)
+	// Completion statistics fold in at settlement time, in completion
+	// order — the same order (and float arithmetic) the old done-list
+	// post-pass used.
 	lats := make([]float64, 0, len(txs))
 	var latenessSum time.Duration
 
-	var serveOrQueue func(si int, h int32)
-	serve := func(si int, h int32) {
+	stations := make([]station, len(pipeline))
+	serveOrQueue := func(si int, h int32) {
 		st := &stations[si]
-		st.busy++
-		svc := st.svc.Sample(k.Rand())
-		if svc < 0.001 {
-			svc = 0.001
-		}
-		k.AfterFunc(time.Duration(svc*float64(time.Second)), finishH[h])
-	}
-	serveOrQueue = func(si int, h int32) {
-		st := &stations[si]
-		if st.busy < st.cap {
-			serve(si, h)
+		if n := len(st.idle); n > 0 {
+			j := st.idle[n-1]
+			st.idle = st.idle[:n-1]
+			st.serving[j] = h
+			svc := st.svc.Sample(k.Rand())
+			if svc < 0.001 {
+				svc = 0.001
+			}
+			k.AfterFunc(time.Duration(svc*float64(time.Second)), st.doneH[j])
 			return
 		}
 		var depth int
 		if disc == EDF {
-			st.edf.push(h, deadline[h])
+			st.edf.push(h, txs[h].Deadline)
 			depth = st.edf.len()
 		} else {
 			st.fifo.push(h)
@@ -176,13 +182,13 @@ func RunClearingOn(k *sim.Kernel, pipeline []Stage, txs []Transaction, disc Queu
 			res.MaxQueueDepth = depth
 		}
 	}
-	// stageDone is the body of every per-handle completion closure: free
-	// the server, pull the next queued transaction per discipline, advance
-	// (or settle) this transaction.
-	stageDone := func(h int32, now sim.Time) {
-		si := int(stage[h])
+	// stageDone is the body of every slot's completion handler: free the
+	// server, pull the next queued transaction per discipline, advance (or
+	// settle) the transaction the slot served.
+	stageDone := func(si int, j int32, now sim.Time) {
 		st := &stations[si]
-		st.busy--
+		h := st.serving[j]
+		st.idle = append(st.idle, j)
 		// The pull's re-admission stays a zero-delay kernel event rather
 		// than a direct dispatch: Result envelopes expose the event count
 		// (the golden backlog captures carry ~143k re-admit events in their
@@ -198,65 +204,44 @@ func RunClearingOn(k *sim.Kernel, pipeline []Stage, txs []Transaction, disc Queu
 				k.AfterFunc(0, st.readmitH)
 			}
 		}
-		stage[h]++
-		if int(stage[h]) == len(stations) {
-			res.Completed++
-			lat := now - arrive[h]
-			lats = append(lats, lat.Seconds())
-			if deadline[h] > 0 && now > deadline[h] {
-				res.DeadlineMiss++
-				latenessSum += now - deadline[h]
-			}
-			free = append(free, h)
+		if si+1 < len(stations) {
+			serveOrQueue(si+1, h)
 			return
 		}
-		serveOrQueue(si+1, h)
-	}
-	// alloc hands out a transaction handle, reusing a freed one when
-	// available. The completion closure is built once per handle and
-	// recycled with it, so a steady-state service event carries no
-	// allocation; exactly one event references a handle at any moment
-	// (in service, queued, or awaiting re-admission), which is what makes
-	// settlement-time recycling sound.
-	alloc := func() int32 {
-		if n := len(free); n > 0 {
-			h := free[n-1]
-			free = free[:n-1]
-			return h
+		tx := &txs[h]
+		res.Completed++
+		lats = append(lats, (now - tx.Arrive).Seconds())
+		if tx.Deadline > 0 && now > tx.Deadline {
+			res.DeadlineMiss++
+			latenessSum += now - tx.Deadline
 		}
-		h := int32(len(stage))
-		arrive = append(arrive, 0)
-		deadline = append(deadline, 0)
-		cents = append(cents, 0)
-		stage = append(stage, 0)
-		finishH = append(finishH, nil)
-		finishH[h] = func(now sim.Time) { stageDone(h, now) }
-		return h
 	}
-	for i := range stations {
-		si := i
-		st := &stations[i]
+	for si, stage := range pipeline {
+		st := &stations[si]
+		st.svc = stage.ServiceSeconds
+		st.serving = make([]int32, stage.Servers)
+		st.idle = make([]int32, stage.Servers)
+		st.doneH = make([]sim.Handler, stage.Servers)
+		for j := range st.idle {
+			slot := int32(j)
+			st.idle[j] = slot
+			st.doneH[j] = func(now sim.Time) { stageDone(si, slot, now) }
+		}
 		st.readmitH = func(sim.Time) { serveOrQueue(si, st.readmit.pop()) }
 	}
 
 	// Admit the arrival stream: one sorted kernel stream sharing a single
 	// handler and a cursor — zero per-arrival allocation, with firing order
 	// identical to scheduling each transaction in turn (same contiguous
-	// sequence block; see sim.ScheduleStream).
+	// sequence block; see sim.ScheduleStream). The cursor is the handle.
 	at := make([]sim.Time, len(txs))
 	for i := range txs {
 		at[i] = txs[i].Arrive
 	}
-	cursor := 0
+	cursor := int32(0)
 	admit := func(sim.Time) {
-		tx := &txs[cursor]
+		serveOrQueue(0, cursor)
 		cursor++
-		h := alloc()
-		arrive[h] = tx.Arrive
-		deadline[h] = tx.Deadline
-		cents[h] = tx.Cents
-		stage[h] = 0
-		serveOrQueue(0, h)
 	}
 	if err := k.ScheduleStream(at, admit); err != nil {
 		return nil, fmt.Errorf("banking: schedule arrivals: %w", err)
@@ -273,7 +258,8 @@ func RunClearingOn(k *sim.Kernel, pipeline []Stage, txs []Transaction, disc Queu
 	}
 	res.MissRate = float64(res.DeadlineMiss) / float64(res.Completed)
 	res.MeanLatency = time.Duration(stats.Mean(lats) * float64(time.Second))
-	res.P95Latency = time.Duration(stats.Quantile(lats, 0.95) * float64(time.Second))
+	// Last use of lats: the quantile may reorder it.
+	res.P95Latency = time.Duration(stats.QuantileInPlace(lats, 0.95) * float64(time.Second))
 	if res.DeadlineMiss > 0 {
 		res.MeanLateness = latenessSum / time.Duration(res.DeadlineMiss)
 	}

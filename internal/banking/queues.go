@@ -1,13 +1,13 @@
 package banking
 
-// Per-stage queue structures of the columnar clearing pipeline. Both hold
-// int32 transaction handles (indices into the run's transaction columns),
+// Per-stage queue structures of the clearing pipeline. Both hold int32
+// transaction handles (indices into the run's transaction column),
 // never pointers, and both keep their backing arrays across pushes and
 // pops, so steady-state queueing allocates nothing beyond amortized
-// doubling.
+// growth.
 //
 // FCFS is a wrapping ring buffer: O(1) push and pop, power-of-two capacity
-// for mask indexing. EDF is a 4-ary index min-heap keyed by (deadline,
+// for mask indexing. EDF is a 4-ary min-heap keyed by (deadline,
 // admission sequence): the seq tie-break reproduces the replaced linear
 // scan's order exactly — the scan compared with a strict `<`, so the first
 // QUEUED transaction won among equal deadlines, and per-push monotone
@@ -15,7 +15,7 @@ package banking
 // TestEDFHeapMatchesLinearScanReference). 4-ary beats binary here because
 // backlog queues are pop-heavy (every pull sifts down); halving the tree
 // depth trades four comparisons per level for half the levels and much
-// better locality over the flat key columns.
+// better locality over the flat entry array.
 
 import "time"
 
@@ -56,75 +56,71 @@ func (r *handleRing) grow() {
 	r.buf, r.head = buf, 0
 }
 
-// edfHeap is a 4-ary index min-heap of transaction handles keyed by
-// (deadline, admission sequence) held in flat parallel columns.
+// edfEntry is one queued transaction: its deadline, then the admission
+// sequence in the high 32 bits of key and the handle in the low 32, so
+// comparing keys compares sequence numbers, which are unique per heap.
+type edfEntry struct {
+	deadline time.Duration
+	key      uint64
+}
+
+func (e edfEntry) less(f edfEntry) bool {
+	return e.deadline < f.deadline || e.deadline == f.deadline && e.key < f.key
+}
+
+// edfHeap is a 4-ary min-heap of transaction handles keyed by (deadline,
+// admission sequence), one 16-byte entry per queued transaction. Sifts
+// move a hole and write the moving entry once, where it lands.
 type edfHeap struct {
-	deadline []time.Duration
-	seq      []uint64
-	handle   []int32
-	next     uint64 // admission sequence counter, monotone per push
+	a    []edfEntry
+	next uint64 // admission sequence counter, monotone per push
 }
 
-func (q *edfHeap) len() int { return len(q.handle) }
-
-func (q *edfHeap) less(i, j int) bool {
-	if q.deadline[i] != q.deadline[j] {
-		return q.deadline[i] < q.deadline[j]
-	}
-	return q.seq[i] < q.seq[j]
-}
-
-func (q *edfHeap) swap(i, j int) {
-	q.deadline[i], q.deadline[j] = q.deadline[j], q.deadline[i]
-	q.seq[i], q.seq[j] = q.seq[j], q.seq[i]
-	q.handle[i], q.handle[j] = q.handle[j], q.handle[i]
-}
+func (q *edfHeap) len() int { return len(q.a) }
 
 func (q *edfHeap) push(h int32, deadline time.Duration) {
-	q.deadline = append(q.deadline, deadline)
-	q.seq = append(q.seq, q.next)
+	e := edfEntry{deadline: deadline, key: q.next<<32 | uint64(uint32(h))}
 	q.next++
-	q.handle = append(q.handle, h)
-	i := len(q.handle) - 1
+	q.a = append(q.a, e)
+	i := len(q.a) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !q.less(i, p) {
+		if !e.less(q.a[p]) {
 			break
 		}
-		q.swap(i, p)
+		q.a[i] = q.a[p]
 		i = p
 	}
+	q.a[i] = e
 }
 
 // pop removes and returns the handle with the least (deadline, seq) key.
 func (q *edfHeap) pop() int32 {
-	h := q.handle[0]
-	last := len(q.handle) - 1
-	q.swap(0, last)
-	q.deadline = q.deadline[:last]
-	q.seq = q.seq[:last]
-	q.handle = q.handle[:last]
+	h := int32(uint32(q.a[0].key))
+	last := len(q.a) - 1
+	e := q.a[last]
+	q.a = q.a[:last]
+	if last == 0 {
+		return h
+	}
 	i := 0
 	for {
 		c := i<<2 + 1
 		if c >= last {
 			break
 		}
-		m := c
-		end := c + 4
-		if end > last {
-			end = last
-		}
+		m, end := c, min(c+4, last)
 		for j := c + 1; j < end; j++ {
-			if q.less(j, m) {
+			if q.a[j].less(q.a[m]) {
 				m = j
 			}
 		}
-		if !q.less(m, i) {
+		if !q.a[m].less(e) {
 			break
 		}
-		q.swap(i, m)
+		q.a[i] = q.a[m]
 		i = m
 	}
+	q.a[i] = e
 	return h
 }

@@ -1,7 +1,9 @@
 package banking
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -230,43 +232,89 @@ func TestTransactionsFromWorkloadStableOrder(t *testing.T) {
 	}
 }
 
-// TestSortByArrivalMatchesStableSort: the radix sort orders keys exactly as
-// a stable comparison sort on arrival does — ties in input order — on
-// tie-heavy keys, keys at zero, the largest non-negative key, and the
-// smallest sizes.
-func TestSortByArrivalMatchesStableSort(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	draw := func(n int, at func() time.Duration) []arrivalKey {
-		keys := make([]arrivalKey, n)
-		for i := range keys {
-			keys[i] = arrivalKey{at: at(), draw: i}
-		}
-		return keys
+// inDrawOrder builds a transaction column in draw order, as
+// generateTransactions does before ordering it: ID i+1 at index i.
+func inDrawOrder(arrivals []time.Duration) []Transaction {
+	txs := make([]Transaction, len(arrivals))
+	for i, at := range arrivals {
+		txs[i] = Transaction{ID: i + 1, Arrive: at, Deadline: at + time.Second}
 	}
-	cases := map[string][]arrivalKey{
-		"empty":         draw(0, nil),
-		"one":           draw(1, func() time.Duration { return time.Hour }),
-		"two-equal":     draw(2, func() time.Duration { return time.Second }),
-		"two-reversed":  {{at: 2, draw: 0}, {at: 1, draw: 1}},
-		"all-zero":      draw(1000, func() time.Duration { return 0 }),
-		"zero-and-max":  draw(1000, func() time.Duration { return time.Duration(r.Intn(2)) * math.MaxInt64 }),
-		"duplicates":    draw(5000, func() time.Duration { return time.Duration(r.Intn(8)) * time.Minute }),
-		"one-digit":     draw(5000, func() time.Duration { return time.Duration(r.Intn(1 << radixDigitBits)) }),
-		"day":           draw(20_000, func() time.Duration { return time.Duration(r.Int63n(int64(24 * time.Hour))) }),
-		"full-range":    draw(5000, func() time.Duration { return time.Duration(r.Int63()) }),
-		"shared-prefix": draw(5000, func() time.Duration { return 17*time.Hour + time.Duration(r.Intn(64)) }),
-	}
-	for name, keys := range cases {
-		want := slices.Clone(keys)
-		slices.SortStableFunc(want, func(a, b arrivalKey) int { return cmp.Compare(a.at, b.at) })
-		got := sortByArrival(keys, make([]arrivalKey, len(keys)))
-		if !slices.Equal(got, want) {
-			t.Errorf("%s: radix order diverges from the stable sort", name)
-		}
+	return txs
+}
+
+// checkOrderMatchesStableSort fails when orderTransactions orders txs
+// other than a stable comparison sort on arrival does.
+func checkOrderMatchesStableSort(t *testing.T, name string, txs []Transaction) {
+	t.Helper()
+	want := slices.Clone(txs)
+	slices.SortStableFunc(want, func(a, b Transaction) int { return cmp.Compare(a.Arrive, b.Arrive) })
+	orderTransactions(txs)
+	if !slices.Equal(txs, want) {
+		t.Errorf("%s: in-place order diverges from the stable sort", name)
 	}
 }
 
-// TestGenerateWorkloadArrivalsNonNegative pins the invariant sortByArrival
+// TestOrderTransactionsMatchesStableSort: the in-place (Arrive, ID) order
+// of a column built in draw order is exactly the stable sort on arrival —
+// ties in draw order — on tie-heavy columns, arrivals at zero, the largest
+// non-negative arrival, one-digit ranges, the smallest sizes and sizes
+// around the comparison-sort cutoff, and spike-heavy days.
+func TestOrderTransactionsMatchesStableSort(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	draw := func(n int, at func() time.Duration) []time.Duration {
+		arrivals := make([]time.Duration, n)
+		for i := range arrivals {
+			arrivals[i] = at()
+		}
+		return arrivals
+	}
+	day := func() time.Duration { return time.Duration(r.Int63n(int64(24 * time.Hour))) }
+	cases := map[string][]time.Duration{
+		"empty":         nil,
+		"one":           {time.Hour},
+		"two-equal":     {time.Second, time.Second},
+		"two-reversed":  {2, 1},
+		"cutoff+1":      draw(radixCutoff+1, day),
+		"33":            draw(33, day),
+		"all-zero":      draw(1000, func() time.Duration { return 0 }),
+		"all-equal":     draw(1000, func() time.Duration { return 17 * time.Hour }),
+		"zero-and-max":  draw(1000, func() time.Duration { return time.Duration(r.Intn(2)) * math.MaxInt64 }),
+		"duplicates":    draw(5000, func() time.Duration { return time.Duration(r.Intn(8)) * time.Minute }),
+		"one-digit":     draw(5000, func() time.Duration { return time.Duration(r.Intn(1 << radixBits)) }),
+		"day":           draw(20_000, day),
+		"full-range":    draw(5000, func() time.Duration { return time.Duration(r.Int63()) }),
+		"shared-prefix": draw(5000, func() time.Duration { return 17*time.Hour + time.Duration(r.Intn(64)) }),
+		"spike": draw(20_000, func() time.Duration {
+			if r.Intn(2) == 0 {
+				return 17*time.Hour + time.Duration(r.Intn(1000))*time.Microsecond
+			}
+			return day()
+		}),
+	}
+	for name, arrivals := range cases {
+		checkOrderMatchesStableSort(t, name, inDrawOrder(arrivals))
+	}
+}
+
+// FuzzOrderTransactions: for any non-negative arrivals, the in-place order
+// equals the stable sort on arrival. Each 8-byte chunk of data is one
+// arrival, its top bit cleared, shifted right by shift: a large shift
+// folds the arrivals onto few values, so ties and shared prefixes are
+// common.
+func FuzzOrderTransactions(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add(bytes.Repeat([]byte{0, 0, 0x3f, 0xff, 1, 2, 3, 4}, 40), uint8(20))
+	f.Add(bytes.Repeat([]byte{0xff, 0x01, 0x80, 0x00, 0x7f, 0x10, 0x00, 0xaa}, 300), uint8(55))
+	f.Fuzz(func(t *testing.T, data []byte, shift uint8) {
+		arrivals := make([]time.Duration, len(data)/8)
+		for i := range arrivals {
+			arrivals[i] = time.Duration(binary.BigEndian.Uint64(data[8*i:]) >> 1 >> (shift % 64))
+		}
+		checkOrderMatchesStableSort(t, "fuzz", inDrawOrder(arrivals))
+	})
+}
+
+// TestGenerateWorkloadArrivalsNonNegative pins the invariant orderTransactions
 // relies on: every synthesized arrival lies in [0, 24h), under both the
 // uniform and the tie-heavy source.
 func TestGenerateWorkloadArrivalsNonNegative(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // Report is the printable outcome of one experiment.
@@ -25,7 +26,9 @@ type Report struct {
 	Notes    []string
 }
 
-// Fprint renders the report as an aligned text table.
+// Fprint renders the report as an aligned text table. Columns are padded
+// by display width, counted in runes, so a multi-byte cell such as T4's
+// "§" header lines up with the cells below it.
 func (r *Report) Fprint(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", r.ID, r.Title); err != nil {
 		return err
@@ -35,12 +38,12 @@ func (r *Report) Fprint(w io.Writer) error {
 	}
 	widths := make([]int, len(r.Columns))
 	for i, c := range r.Columns {
-		widths[i] = len(c)
+		widths[i] = utf8.RuneCountInString(c)
 	}
 	for _, row := range r.Rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(cell))
 			}
 		}
 	}
@@ -71,10 +74,11 @@ func (r *Report) Fprint(w io.Writer) error {
 }
 
 func pad(s string, w int) string {
-	if len(s) >= w {
+	n := utf8.RuneCountInString(s)
+	if n >= w {
 		return s
 	}
-	return s + strings.Repeat(" ", w-len(s))
+	return s + strings.Repeat(" ", w-n)
 }
 
 // String renders the report to a string.

@@ -95,10 +95,11 @@ type Schemer interface {
 
 // Strict re-parses a full scenario document against the schema its kind
 // publishes, rejecting unknown fields anywhere in the document. For a sweep
-// document the base document and every expanded cell are checked against the
-// base kind's schema, which catches misspelled grid paths as well — a grid
-// axis that names a field no schema declares would otherwise sweep nothing,
-// silently.
+// document every grid assignment is checked against the base kind's
+// schema, which catches misspelled grid paths as well — a grid axis that
+// names a field no schema declares would otherwise sweep nothing,
+// silently. Repetition copies of an assignment differ only in /seed, so
+// only the first (#0) is decoded; it is also the first of them to fail.
 func Strict(raw json.RawMessage) error {
 	env, err := ParseCommon(raw)
 	if err != nil {
@@ -110,11 +111,14 @@ func Strict(raw json.RawMessage) error {
 	if env.Kind != "sweep" {
 		return nil
 	}
-	_, baseKind, cells, err := ExpandSweepDocument(raw)
+	cfg, baseKind, cells, err := ExpandSweepDocument(raw)
 	if err != nil {
 		return err
 	}
-	for _, cell := range cells {
+	// ExpandGrid emits repetitions innermost, reps cells per assignment.
+	reps := max(cfg.Repetitions, 1)
+	for i := 0; i < len(cells); i += reps {
+		cell := cells[i]
 		if err := strictKind(baseKind, cell.Doc); err != nil {
 			if cell.Key == "" {
 				return err

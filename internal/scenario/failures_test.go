@@ -426,6 +426,20 @@ func TestStrictRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestStrictRepetitionsErrorUnchanged: Strict decodes one repetition per
+// assignment, and a sweep whose base holds an unknown field still fails
+// with the message the per-cell check gave, naming rep #0 of the first
+// assignment.
+func TestStrictRepetitionsErrorUnchanged(t *testing.T) {
+	doc := `{"kind": "sweep", "seed": 3, "repetitions": 64,
+	  "base": {"kind": "banking", "transactions": 100, "bogus": 1},
+	  "grid": {"/discipline": ["edf", "fcfs"]}}`
+	want := `cell "/discipline=\"edf\",#0": scenario "banking": strict parse: json: unknown field "bogus"`
+	if err := scenario.Strict(json.RawMessage(doc)); err == nil || err.Error() != want {
+		t.Errorf("Strict = %v\nwant      %s", err, want)
+	}
+}
+
 // TestEveryRegisteredKindPublishesSchema keeps -strict total: a kind without
 // a Schema would make strict parsing unavailable for its documents.
 func TestEveryRegisteredKindPublishesSchema(t *testing.T) {

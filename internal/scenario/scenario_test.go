@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 
 	"mcs/internal/sim"
@@ -145,5 +146,38 @@ func TestResultJSONExcludesWallClock(t *testing.T) {
 	names := res.MetricNames()
 	if len(names) != 1 || names[0] != "a" {
 		t.Errorf("MetricNames = %v", names)
+	}
+}
+
+// countingSchemer counts the schema values Strict decodes into.
+type countingSchemer struct {
+	fakeScenario
+	decodes *int
+}
+
+func (c *countingSchemer) Schema() any {
+	*c.decodes++
+	return &struct {
+		Common
+		X int `json:"x"`
+	}{}
+}
+
+// TestStrictDecodesOncePerAssignment: Strict's decode work scales with a
+// sweep's grid assignments, not its cells — the repetition copies of an
+// assignment differ only in /seed, so one decode checks them all.
+func TestStrictDecodesOncePerAssignment(t *testing.T) {
+	var decodes int
+	Register("test-strict-count", func() Scenario { return &countingSchemer{decodes: &decodes} })
+	for _, reps := range []int{0, 1, 7, 64} {
+		decodes = 0
+		doc := fmt.Sprintf(`{"kind": "sweep", "repetitions": %d,
+		  "base": {"kind": "test-strict-count"}, "grid": {"/x": [1, 2, 3]}}`, reps)
+		if err := Strict(json.RawMessage(doc)); err != nil {
+			t.Fatal(err)
+		}
+		if decodes != 3 {
+			t.Errorf("repetitions %d: %d cell decodes, want 3 (one per assignment)", reps, decodes)
+		}
 	}
 }

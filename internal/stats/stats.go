@@ -113,29 +113,35 @@ func (s Summary) String() string {
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. It copies xs, and places the
-// order statistics it needs by selection rather than a full sort; the
-// result is the value the sorted sample gives. It returns 0 for an empty
-// xs and NaN for a NaN q.
+// interpolation between order statistics. It copies xs and takes the
+// quantile of the copy with QuantileInPlace. It returns 0 for an empty xs
+// and NaN for a NaN q.
 func Quantile(xs []float64, q float64) float64 {
+	return QuantileInPlace(append([]float64(nil), xs...), q)
+}
+
+// QuantileInPlace is Quantile on xs itself, for a caller done with its
+// order: it places the order statistics it needs by selection rather than
+// a full sort, reordering xs, and returns the value the sorted sample
+// gives.
+func QuantileInPlace(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
 	if math.IsNaN(q) {
 		return math.NaN()
 	}
-	s := append([]float64(nil), xs...)
-	if slices.ContainsFunc(s, math.IsNaN) {
-		sort.Float64s(s) // keeps the sort's placement of NaNs (first)
-		return quantileSorted(s, q)
+	if slices.ContainsFunc(xs, math.IsNaN) {
+		sort.Float64s(xs) // keeps the sort's placement of NaNs (first)
+		return quantileSorted(xs, q)
 	}
-	lo, frac := quantileRank(len(s), q)
-	selectKth(s, lo)
+	lo, frac := quantileRank(len(xs), q)
+	selectKth(xs, lo)
 	if frac == 0 {
-		return s[lo]
+		return xs[lo]
 	}
 	// The next order statistic is the smallest value right of lo.
-	return s[lo]*(1-frac) + slices.Min(s[lo+1:])*frac
+	return xs[lo]*(1-frac) + slices.Min(xs[lo+1:])*frac
 }
 
 func quantileSorted(sorted []float64, q float64) float64 {
