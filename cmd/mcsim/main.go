@@ -78,7 +78,6 @@ import (
 
 	"mcs/internal/dist"
 	"mcs/internal/obs"
-	"mcs/internal/opendc"
 	"mcs/internal/scenario"
 	"mcs/internal/trace"
 
@@ -89,20 +88,9 @@ import (
 	_ "mcs/internal/federation"
 	_ "mcs/internal/gaming"
 	_ "mcs/internal/graphproc"
+	_ "mcs/internal/opendc"
 	_ "mcs/internal/social"
 )
-
-// ScenarioConfig is the datacenter scenario schema, kept under its original
-// name for compatibility; the schema itself now lives with the simulator.
-type ScenarioConfig = opendc.ScenarioJSON
-
-// BuildScenario converts the JSON config into a runnable datacenter
-// scenario. Retained as a thin wrapper over opendc.Build.
-func BuildScenario(cfg ScenarioConfig) (*opendc.Scenario, error) {
-	return opendc.Build(cfg)
-}
-
-const exampleScenario = opendc.ExampleJSON
 
 func main() {
 	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {

@@ -76,12 +76,13 @@
 // is hard: observability reads, never writes — reports stay byte-identical
 // with every feature enabled, and the disabled path is benchguard-gated.
 //
-// Start with examples/quickstart, run any registered scenario with
-// cmd/mcsim (-list enumerates the kinds, -sweep runs grid campaigns,
-// -distributed shards them across worker processes and machines,
-// -export-trace/-export-csv write replayable and plottable artifacts),
-// run the paper's document-driven experiments (D1, D2, the F5 keep-warm
-// sweep) from examples/paper with cmd/mcsim, print the remaining figure
-// and table experiments with cmd/mcsbench, and see DESIGN.md for the
-// architecture and system inventory.
+// Start with `mcsim -scenario examples/quickstart/cluster.json` (the
+// documents under examples/ are listed in examples/README.md), run any
+// registered scenario with cmd/mcsim (-list enumerates the kinds, -sweep
+// runs grid campaigns, -distributed shards them across worker processes
+// and machines, -export-trace/-export-csv write replayable and plottable
+// artifacts), run the paper's document-driven experiments (D1, D2, the F5
+// keep-warm sweep) from examples/paper with cmd/mcsim, print the remaining
+// figure and table experiments with cmd/mcsbench, and see DESIGN.md for
+// the architecture and system inventory.
 package mcs

@@ -61,39 +61,6 @@ func TestRunClearingSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestLedgerTransferWarmAllocs pins the ledger hot path: once the entry
-// columns are pre-reserved, a committed transfer allocates nothing — by
-// handle outright, and by id too (map reads don't allocate).
-func TestLedgerTransferWarmAllocs(t *testing.T) {
-	l := NewLedger()
-	a, err := l.OpenAccount("a", 1<<40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := l.OpenAccount("b", 1<<40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Grow(4000)
-	if got := testing.AllocsPerRun(1000, func() {
-		if err := l.TransferBetween(a, b, 1); err != nil {
-			t.Fatal(err)
-		}
-	}); got != 0 {
-		t.Errorf("TransferBetween allocates %.1f objects per warm transfer, want 0", got)
-	}
-	if got := testing.AllocsPerRun(1000, func() {
-		if err := l.Transfer("a", "b", 1); err != nil {
-			t.Fatal(err)
-		}
-	}); got != 0 {
-		t.Errorf("Transfer allocates %.1f objects per warm transfer, want 0", got)
-	}
-	if err := l.CheckConservation(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestConfigureBytesPerTransaction bounds what a synthetic Configure
 // allocates per transaction: the transaction column (32 B), ordered in
 // place, with no job/task form built until an export asks for it.

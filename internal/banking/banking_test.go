@@ -2,171 +2,18 @@ package banking
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"mcs/internal/sim"
 	"mcs/internal/stats"
 	"mcs/internal/trace"
 )
-
-func TestLedgerOpenAndTransfer(t *testing.T) {
-	l := NewLedger()
-	if err := l.Open("alice", 1000); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Open("bob", 500); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Transfer("alice", "bob", 300); err != nil {
-		t.Fatal(err)
-	}
-	a, _ := l.Balance("alice")
-	b, _ := l.Balance("bob")
-	if a != 700 || b != 800 {
-		t.Errorf("balances %d/%d, want 700/800", a, b)
-	}
-	if err := l.CheckConservation(); err != nil {
-		t.Fatal(err)
-	}
-	if len(l.Entries()) != 1 {
-		t.Error("entry log wrong")
-	}
-}
-
-func TestLedgerRejections(t *testing.T) {
-	l := NewLedger()
-	if err := l.Open("a", -1); !errors.Is(err, ErrBadAmount) {
-		t.Errorf("negative opening: %v", err)
-	}
-	l.Open("a", 100)
-	if err := l.Open("a", 0); err == nil {
-		t.Error("duplicate account accepted")
-	}
-	l.Open("b", 0)
-	if err := l.Transfer("a", "b", 0); !errors.Is(err, ErrBadAmount) {
-		t.Errorf("zero transfer: %v", err)
-	}
-	if err := l.Transfer("a", "b", 101); !errors.Is(err, ErrInsufficientFunds) {
-		t.Errorf("overdraft: %v", err)
-	}
-	if err := l.Transfer("ghost", "b", 1); !errors.Is(err, ErrUnknownAccount) {
-		t.Errorf("unknown from: %v", err)
-	}
-	if err := l.Transfer("a", "ghost", 1); !errors.Is(err, ErrUnknownAccount) {
-		t.Errorf("unknown to: %v", err)
-	}
-	if _, err := l.Balance("ghost"); !errors.Is(err, ErrUnknownAccount) {
-		t.Errorf("unknown balance: %v", err)
-	}
-	if err := l.CheckConservation(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLedgerSelfTransferRejected(t *testing.T) {
-	l := NewLedger()
-	a, err := l.OpenAccount("a", 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Transfer("a", "a", 10); !errors.Is(err, ErrSelfTransfer) {
-		t.Errorf("self transfer by id: %v", err)
-	}
-	if err := l.TransferBetween(a, a, 10); !errors.Is(err, ErrSelfTransfer) {
-		t.Errorf("self transfer by handle: %v", err)
-	}
-	if got, _ := l.Balance("a"); got != 100 {
-		t.Errorf("balance changed to %d by rejected self transfer", got)
-	}
-	if len(l.Entries()) != 0 {
-		t.Errorf("self transfer logged %d entries, want none", len(l.Entries()))
-	}
-	// A bad amount outranks the self check, matching Transfer's order.
-	if err := l.TransferBetween(a, a, 0); !errors.Is(err, ErrBadAmount) {
-		t.Errorf("zero self transfer: %v", err)
-	}
-}
-
-func TestLedgerHandleAPI(t *testing.T) {
-	l := NewLedger()
-	a, err := l.OpenAccount("alice", 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := l.OpenAccount("bob", 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := l.Handle("alice"); err != nil || got != a {
-		t.Fatalf("Handle(alice) = %v, %v; want %v", got, err, a)
-	}
-	if _, err := l.Handle("ghost"); !errors.Is(err, ErrUnknownAccount) {
-		t.Errorf("unknown handle lookup: %v", err)
-	}
-	if got := l.ID(b); got != "bob" {
-		t.Errorf("ID(%v) = %q", b, got)
-	}
-	l.Grow(4)
-	if err := l.TransferBetween(a, b, 300); err != nil {
-		t.Fatal(err)
-	}
-	if got := l.BalanceOf(a); got != 700 {
-		t.Errorf("BalanceOf(a) = %d, want 700", got)
-	}
-	if got := l.BalanceOf(b); got != 800 {
-		t.Errorf("BalanceOf(b) = %d, want 800", got)
-	}
-	if err := l.TransferBetween(a, Account(99), 1); !errors.Is(err, ErrUnknownAccount) {
-		t.Errorf("out-of-range to handle: %v", err)
-	}
-	if err := l.TransferBetween(Account(-1), b, 1); !errors.Is(err, ErrUnknownAccount) {
-		t.Errorf("negative from handle: %v", err)
-	}
-	if err := l.CheckConservation(); err != nil {
-		t.Fatal(err)
-	}
-	entries := l.Entries()
-	if len(entries) != 1 || entries[0] != (Entry{From: "alice", To: "bob", Cents: 300}) {
-		t.Errorf("entries = %+v", entries)
-	}
-}
-
-// Property: conservation holds under arbitrary transfer sequences, accepted
-// or rejected.
-func TestLedgerConservationProperty(t *testing.T) {
-	prop := func(seed int64, ops []uint16) bool {
-		r := rand.New(rand.NewSource(seed))
-		l := NewLedger()
-		accounts := []AccountID{"a", "b", "c", "d"}
-		for _, id := range accounts {
-			if err := l.Open(id, int64(r.Intn(10000))); err != nil {
-				return false
-			}
-		}
-		want := l.Total()
-		for _, op := range ops {
-			from := accounts[int(op)%len(accounts)]
-			to := accounts[int(op/7)%len(accounts)]
-			amount := int64(op%997) - 100 // includes invalid amounts
-			_ = l.Transfer(from, to, amount)
-			if l.Total() != want || l.CheckConservation() != nil {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(31))}); err != nil {
-		t.Error(err)
-	}
-}
 
 func fastPipeline() []Stage {
 	return []Stage{
@@ -177,7 +24,7 @@ func fastPipeline() []Stage {
 
 func TestRunClearingLatencyOfUnloadedPipeline(t *testing.T) {
 	txs := []Transaction{{ID: 1, Arrive: 0, Deadline: 10 * time.Second}}
-	res, err := RunClearing(fastPipeline(), txs, FCFS, 1)
+	res, err := RunClearingOn(sim.New(1), fastPipeline(), txs, FCFS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +43,7 @@ func TestRunClearingDetectsMisses(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		txs = append(txs, Transaction{ID: i + 1, Arrive: 0, Deadline: 4 * time.Second})
 	}
-	res, err := RunClearing(fastPipeline(), txs, FCFS, 1)
+	res, err := RunClearingOn(sim.New(1), fastPipeline(), txs, FCFS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +65,11 @@ func TestRunClearingDetectsMisses(t *testing.T) {
 // under the same load.
 func TestEDFBeatsFCFSOnMixedDeadlines(t *testing.T) {
 	txs := GenerateTransactions(3000, 0.5, 3)
-	fcfs, err := RunClearing(DefaultPipeline(), txs, FCFS, 3)
+	fcfs, err := RunClearingOn(sim.New(3), DefaultPipeline(), txs, FCFS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	edf, err := RunClearing(DefaultPipeline(), txs, EDF, 3)
+	edf, err := RunClearingOn(sim.New(3), DefaultPipeline(), txs, EDF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,13 +82,13 @@ func TestEDFBeatsFCFSOnMixedDeadlines(t *testing.T) {
 }
 
 func TestRunClearingValidation(t *testing.T) {
-	if _, err := RunClearing(nil, nil, FCFS, 1); err == nil {
+	if _, err := RunClearingOn(sim.New(1), nil, nil, FCFS); err == nil {
 		t.Error("empty pipeline accepted")
 	}
-	if _, err := RunClearing([]Stage{{Name: "x"}}, nil, FCFS, 1); err == nil {
+	if _, err := RunClearingOn(sim.New(1), []Stage{{Name: "x"}}, nil, FCFS); err == nil {
 		t.Error("misconfigured stage accepted")
 	}
-	res, err := RunClearing(fastPipeline(), nil, FCFS, 1)
+	res, err := RunClearingOn(sim.New(1), fastPipeline(), nil, FCFS)
 	if err != nil || res.Completed != 0 {
 		t.Errorf("empty workload: %v %+v", err, res)
 	}
@@ -254,7 +101,7 @@ func TestRunClearingFailsOnExhaustedBudget(t *testing.T) {
 	defer func(b uint64) { clearingEventBudget = b }(clearingEventBudget)
 	clearingEventBudget = 1000
 	txs := GenerateTransactions(2000, 0.5, 11)
-	res, err := RunClearing(DefaultPipeline(), txs, EDF, 11)
+	res, err := RunClearingOn(sim.New(11), DefaultPipeline(), txs, EDF)
 	if err == nil {
 		t.Fatalf("truncated run returned a report: %+v", res)
 	}
@@ -264,7 +111,7 @@ func TestRunClearingFailsOnExhaustedBudget(t *testing.T) {
 		}
 	}
 	clearingEventBudget = 1_000_000
-	if res, err := RunClearing(DefaultPipeline(), txs, EDF, 11); err != nil || res.Completed != len(txs) {
+	if res, err := RunClearingOn(sim.New(11), DefaultPipeline(), txs, EDF); err != nil || res.Completed != len(txs) {
 		t.Fatalf("run within budget: %v %+v", err, res)
 	}
 }
@@ -375,11 +222,11 @@ func TestGenerateTransactions(t *testing.T) {
 
 func TestClearingDeterministicPerSeed(t *testing.T) {
 	txs := GenerateTransactions(500, 0.5, 4)
-	a, err := RunClearing(DefaultPipeline(), txs, EDF, 5)
+	a, err := RunClearingOn(sim.New(5), DefaultPipeline(), txs, EDF)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunClearing(DefaultPipeline(), txs, EDF, 5)
+	b, err := RunClearingOn(sim.New(5), DefaultPipeline(), txs, EDF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +239,7 @@ func BenchmarkClearingDay(b *testing.B) {
 	txs := GenerateTransactions(5000, 0.5, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunClearing(DefaultPipeline(), txs, EDF, 1); err != nil {
+		if _, err := RunClearingOn(sim.New(1), DefaultPipeline(), txs, EDF); err != nil {
 			b.Fatal(err)
 		}
 	}

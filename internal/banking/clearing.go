@@ -1,3 +1,16 @@
+// Package banking models the future-of-banking ecosystem of paper §6.4: a
+// PSD2-style clearing pipeline in which payment transactions must complete
+// within regulatory deadlines — "PSD2 enforces strict performance targets,
+// including deadlines in clearing financial transactions". The pipeline
+// runs under deadline-aware (EDF) or deadline-oblivious (FCFS) queueing and
+// is registered as the "banking" scenario kind.
+//
+// The hot state is columnar (the struct-of-arrays scheme gaming and social
+// use, DESIGN.md "Columnar scenario state"): an in-flight transaction is an
+// integer handle into the run's transaction column, per-stage queues are
+// handle rings and 4-ary heaps (queues.go), and a steady-state event — a
+// service completion, a queue pull — allocates nothing. The alloc probes
+// and BenchmarkBankingMillionTransactions pin this at 1M transactions.
 package banking
 
 import (
@@ -112,14 +125,6 @@ type station struct {
 // settled so far.
 var clearingEventBudget uint64 = 20_000_000
 
-// RunClearing pushes the transactions through the pipeline under the given
-// discipline and returns latency/deadline statistics. Transactions must be
-// sorted by arrival time (GenerateTransactions and TransactionsFromWorkload
-// both emit them sorted).
-func RunClearing(pipeline []Stage, txs []Transaction, disc QueueDiscipline, seed int64) (*ClearingResult, error) {
-	return RunClearingOn(sim.New(seed), pipeline, txs, disc)
-}
-
 // checkClearingSize refuses a stream of n transactions that a run cannot
 // index in 32 bits, under an event budget: a handle is an int32 index into
 // the column, and a station's EDF sequence number (32 bits of an edfHeap
@@ -135,8 +140,10 @@ func checkClearingSize(n int, budget uint64) error {
 	return nil
 }
 
-// RunClearingOn runs the pipeline on a caller-provided kernel — the entry
-// point used by the scenario registry, where the runner owns the kernel.
+// RunClearingOn pushes the transactions through the pipeline under the
+// given discipline on a caller-provided kernel, and returns latency and
+// deadline statistics. Transactions must be sorted by arrival time
+// (GenerateTransactions and TransactionsFromWorkload both emit them sorted).
 func RunClearingOn(k *sim.Kernel, pipeline []Stage, txs []Transaction, disc QueueDiscipline) (*ClearingResult, error) {
 	if len(pipeline) == 0 {
 		return nil, fmt.Errorf("banking: empty pipeline")

@@ -206,7 +206,7 @@ func sortArrivalBits(txs []Transaction, width int) {
 // TransactionsFromWorkload reconstructs the transaction stream from its
 // workload form (see the field mapping above). Jobs without tasks get the
 // minimum amount; a stream not already in arrival order is stably
-// re-sorted by arrival, the order RunClearing requires, so hand-built or
+// re-sorted by arrival, the order RunClearingOn requires, so hand-built or
 // converted traces need no pre-sorting.
 func TransactionsFromWorkload(w *workload.Workload) []Transaction {
 	txs := make([]Transaction, 0, len(w.Jobs))

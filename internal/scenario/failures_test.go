@@ -4,7 +4,7 @@ package scenario_test
 // envelope (PR: "failures" section + scenario.Common redesign). The
 // load-bearing contracts:
 //
-//   - every golden document (testdata/golden and examples/paper) parses
+//   - every golden document (testdata/golden and examples/) parses
 //     under Strict and reproduces its captured result bytes;
 //   - documents WITH the section are seed-stable and their failure timeline
 //     derives from the document seed, never the kernel RNG;
@@ -60,8 +60,10 @@ func runDocBytes(t *testing.T, doc string) []byte {
 }
 
 // goldenDocs maps each golden subtest name to its document: the captured
-// per-kind documents under testdata/golden, and the paper experiments under
-// examples/paper, whose results are captured as testdata/golden/paper-*.
+// per-kind documents under testdata/golden, and every document under
+// examples/, named by its path there with "/" as "-" and ".json" dropped
+// (examples/paper/d1-autoscalers.json is paper-d1-autoscalers). Either way
+// the result is captured as testdata/golden/<name>.result.json.
 func goldenDocs(t testing.TB) map[string]string {
 	t.Helper()
 	docs := map[string]string{}
@@ -72,15 +74,29 @@ func goldenDocs(t testing.TB) map[string]string {
 	for _, p := range captured {
 		docs[strings.TrimSuffix(filepath.Base(p), ".doc.json")] = p
 	}
-	paper, err := filepath.Glob(filepath.Join("..", "..", "examples", "paper", "*.json"))
+	examples := filepath.Join("..", "..", "examples")
+	n := 0
+	err = filepath.WalkDir(examples, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(p) != ".json" {
+			return err
+		}
+		rel, err := filepath.Rel(examples, p)
+		if err != nil {
+			return err
+		}
+		name := strings.ReplaceAll(filepath.ToSlash(strings.TrimSuffix(rel, ".json")), "/", "-")
+		if prev, ok := docs[name]; ok {
+			t.Fatalf("golden name %s is taken by both %s and %s", name, prev, p)
+		}
+		docs[name] = p
+		n++
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range paper {
-		docs["paper-"+strings.TrimSuffix(filepath.Base(p), ".json")] = p
-	}
-	if len(captured) == 0 || len(paper) == 0 {
-		t.Fatalf("golden documents missing: %d captured, %d paper", len(captured), len(paper))
+	if len(captured) == 0 || n == 0 {
+		t.Fatalf("golden documents missing: %d captured, %d examples", len(captured), n)
 	}
 	return docs
 }
@@ -114,29 +130,42 @@ func TestGoldenDocsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestExampleDocsStrict checks every scenario document committed under
-// examples/ against its kind's schema with unknown fields disallowed.
-func TestExampleDocsStrict(t *testing.T) {
-	n := 0
-	err := filepath.WalkDir(filepath.Join("..", "..", "examples"), func(p string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || filepath.Ext(p) != ".json" {
-			return err
-		}
-		n++
-		doc, err := os.ReadFile(p)
-		if err != nil {
-			return err
-		}
-		if err := scenario.Strict(doc); err != nil {
-			t.Errorf("%s: %v", p, err)
-		}
-		return nil
-	})
+// pinnedCells loads the golden result of a sweep document and indexes its
+// cells' metrics by their cell label.
+func pinnedCells(t *testing.T, name string) map[string]map[string]float64 {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "golden", name+".result.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
-		t.Fatal("no example documents found")
+	var res scenario.Result
+	if err := json.Unmarshal(data, &res); err != nil {
+		t.Fatal(err)
+	}
+	cells := map[string]map[string]float64{}
+	for _, c := range res.Cells {
+		cells[c.Labels["cell"]] = c.Metrics
+	}
+	return cells
+}
+
+// TestExampleDocClaims checks, on the pinned results, the claim each
+// examples/ sweep document makes in examples/README.md.
+func TestExampleDocClaims(t *testing.T) {
+	bank := pinnedCells(t, "banking-clearing")
+	fcfs, edf := bank[`/discipline="fcfs",/seed=9`], bank[`/discipline="edf",/seed=9`]
+	if edf["missRate"] >= fcfs["missRate"] || edf["meanLatencySeconds"] != fcfs["meanLatencySeconds"] {
+		t.Errorf("banking: edf %v vs fcfs %v; want a lower missRate at the same meanLatencySeconds", edf, fcfs)
+	}
+	fed := pinnedCells(t, "federation-routing")
+	local, least := fed[`/policy="local-only",/seed=21`], fed[`/policy="least-loaded",/seed=21`]
+	if least["meanWaitSeconds"] >= local["meanWaitSeconds"] {
+		t.Errorf("federation: least-loaded meanWaitSeconds %v, local-only %v; want lower", least["meanWaitSeconds"], local["meanWaitSeconds"])
+	}
+	dc := pinnedCells(t, "datacenter-sizing")
+	off, on := dc["/failures/enabled=false,/machines=8,/seed=7"], dc["/failures/enabled=true,/machines=8,/seed=7"]
+	if on["p95WaitSeconds"] <= off["p95WaitSeconds"] {
+		t.Errorf("datacenter: 8 machines p95WaitSeconds %v with failures, %v without; want higher", on["p95WaitSeconds"], off["p95WaitSeconds"])
 	}
 }
 
