@@ -74,7 +74,7 @@ func BenchmarkKernelThroughput(b *testing.B) {
 // intra-run speedup; both variants are pinned in BENCH_BASELINE.json so
 // benchguard catches a regression in either path. The two variants produce
 // deeply equal results by the pool-size-invariance contract
-// (TestRunPoolSizeInvariance, TestPoolSizeInvariance).
+// (TestRunPoolSizeInvariance, and the pool mode of TestDeterminismContract).
 func BenchmarkFederationMultiSite(b *testing.B) {
 	const numSites = 8
 	sites := make([]federation.Site, numSites)

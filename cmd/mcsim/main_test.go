@@ -320,27 +320,6 @@ func TestWorkerModeServesCellsOnStdio(t *testing.T) {
 	}
 }
 
-// TestDistributedMatchesInProcessThroughCLI is the CLI-level byte-identity
-// check: the same base+grid run through -sweep and through -distributed
-// (HTTP fleet) must print identical report bytes.
-func TestDistributedMatchesInProcessThroughCLI(t *testing.T) {
-	base, grid := writeSweepFiles(t)
-	var want strings.Builder
-	if err := run([]string{"-scenario", base, "-sweep", grid}, nil, &want, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(dist.NewServer().Handler())
-	defer srv.Close()
-	var got strings.Builder
-	args := []string{"-scenario", base, "-sweep", grid, "-distributed", "-connect", srv.URL, "-shard", "1"}
-	if err := run(args, nil, &got, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != want.String() {
-		t.Errorf("-distributed output diverged from -sweep:\n got %s\nwant %s", got.String(), want.String())
-	}
-}
-
 // TestDistributedResumeWritesCheckpoint: a -resume campaign leaves a
 // checkpoint a second invocation replays without recomputing (verified by
 // running the replay against a dead fleet — it must still succeed).

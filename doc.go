@@ -47,8 +47,7 @@
 // synthetic, inline, or a trace file resolved by the internal/trace
 // format registry — GWA-style gwf plus the exact native mcw), so the
 // trace-capable kinds (datacenter, faas, gaming, banking) replay an
-// exported trace to a byte-identical result; see examples/tracereplay
-// and `mcsim -export-trace`.
+// exported trace to a byte-identical result; see `mcsim -export-trace`.
 //
 // Every scenario document shares a typed header (scenario.Common — kind,
 // seed, parallel, the workload block, and the failures overlay) that
@@ -62,9 +61,9 @@
 // envelope. Because the section rides the document schema, every failure
 // parameter is a JSON-pointer sweep axis ("/failures/mtbf/mean") —
 // resilience campaigns distribute like any other sweep with byte-identical
-// merged reports; see examples/resilience. `mcsim -strict` re-parses any
-// document against its kind's published schema and rejects misspelled
-// fields by name.
+// merged reports; see examples/resilience/campaign.json. `mcsim -strict`
+// re-parses any document against its kind's published schema and rejects
+// misspelled fields by name.
 //
 // The observability layer (internal/obs) watches all of it without
 // touching any of it: kernel dispatch telemetry behind a nil-by-default

@@ -1,9 +1,12 @@
 package dist_test
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -121,4 +124,51 @@ func TestCheckpointIgnoresOutOfRangeRecords(t *testing.T) {
 	if len(completed) != 1 || completed[3] == nil {
 		t.Errorf("loaded %v, want only cell 3", completed)
 	}
+}
+
+// FuzzCheckpointResume feeds arbitrary bytes to Resume, after a valid
+// header and on their own. Resume must return an error or only in-range
+// records that decode, never panic, and leave a file that reloads to the
+// same records. The seeds are cuts of a real campaign's checkpoint.
+func FuzzCheckpointResume(f *testing.F) {
+	_, baseKind, cells, err := expandDoc(sweepDoc)
+	if err != nil {
+		f.Fatal(err)
+	}
+	fp, seed := dist.Fingerprint(baseKind, cells), filepath.Join(f.TempDir(), "seed.ckpt")
+	coord, err := dist.NewCoordinator(localFleet(1), dist.Options{ShardSize: 1, Checkpoint: seed})
+	if err == nil {
+		_, _, err = coord.Run(context.Background(), json.RawMessage(sweepDoc))
+	}
+	data, _ := os.ReadFile(seed)
+	header, records, ok := bytes.Cut(data, []byte("\n"))
+	if err != nil || !ok {
+		f.Fatalf("no seed checkpoint: %v", err)
+	}
+	f.Add(records)
+	f.Add(records[:len(records)/2])
+	f.Add(data)
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		for _, body := range [][]byte{append(append(slices.Clip(header), '\n'), tail...), tail} {
+			path := filepath.Join(t.TempDir(), "c.ckpt")
+			if err := os.WriteFile(path, body, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, ckpt, err := dist.Resume(path, fp, len(cells))
+			if err != nil {
+				continue
+			}
+			ckpt.Close()
+			for idx, res := range got {
+				if _, err := json.Marshal(res); idx < 0 || idx >= len(cells) || res == nil || err != nil {
+					t.Fatalf("Resume returned record %d = %v (%v) of %d cells", idx, res, err, len(cells))
+				}
+			}
+			again, ckpt, err := dist.Resume(path, fp, len(cells))
+			if err != nil || len(again) != len(got) {
+				t.Fatalf("rewritten checkpoint reloads %d of %d records: %v", len(again), len(got), err)
+			}
+			ckpt.Close()
+		}
+	})
 }

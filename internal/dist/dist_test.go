@@ -335,28 +335,6 @@ func TestCoordinatorRejectsBadDocument(t *testing.T) {
 	}
 }
 
-// TestSubprocessWorkers drives the real pipe transport: the children are
-// re-executions of this test binary serving dist.ServeStdio.
-func TestSubprocessWorkers(t *testing.T) {
-	want := inProcessBytes(t, sweepDoc)
-	var fleet []dist.Worker
-	for i := 0; i < 2; i++ {
-		w, err := dist.StartSubprocess([]string{os.Args[0]}, "MCS_DIST_HELPER=worker")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer w.Close()
-		fleet = append(fleet, w)
-	}
-	res, fails := runCoordinator(t, fleet, dist.Options{ShardSize: 1}, sweepDoc)
-	if len(fails) != 0 {
-		t.Fatalf("unexpected failures: %+v", fails)
-	}
-	if got := marshal(t, res); got != want {
-		t.Errorf("subprocess report diverged:\n got %s\nwant %s", got, want)
-	}
-}
-
 // TestSubprocessWorkerKilledMidUnit: a child that emits one result and
 // exits is a worker crash; the fleet's healthy child absorbs the rest.
 func TestSubprocessWorkerKilledMidUnit(t *testing.T) {

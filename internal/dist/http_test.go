@@ -16,25 +16,6 @@ import (
 	"mcs/internal/dist"
 )
 
-func TestHTTPWorkersMatchInProcess(t *testing.T) {
-	want := inProcessBytes(t, sweepDoc)
-	srv1 := httptest.NewServer(dist.NewServer().Handler())
-	defer srv1.Close()
-	srv2 := httptest.NewServer(dist.NewServer().Handler())
-	defer srv2.Close()
-	fleet := []dist.Worker{
-		&dist.HTTP{Base: srv1.URL, Client: srv1.Client()},
-		&dist.HTTP{Base: srv2.URL, Client: srv2.Client()},
-	}
-	res, fails := runCoordinator(t, fleet, dist.Options{ShardSize: 1}, sweepDoc)
-	if len(fails) != 0 {
-		t.Fatalf("unexpected failures: %+v", fails)
-	}
-	if got := marshal(t, res); got != want {
-		t.Errorf("HTTP report diverged:\n got %s\nwant %s", got, want)
-	}
-}
-
 func TestMixedFleetMatchesInProcess(t *testing.T) {
 	want := inProcessBytes(t, sweepDoc)
 	srv := httptest.NewServer(dist.NewServer().Handler())

@@ -165,37 +165,31 @@ func TestEASYBackfillBeatsStrictFCFS(t *testing.T) {
 }
 
 func TestFailuresRestartTasks(t *testing.T) {
-	// Deterministic failure storm over a long task: tasks must restart and
-	// eventually complete on the repaired machine.
+	// The only machine fails 30 s into the task's 60 s run: the task must
+	// restart and complete on the repaired machine.
 	w := &workload.Workload{Jobs: []workload.Job{{
 		ID: 1, User: "u",
 		Tasks: []workload.Task{{ID: 1, Job: 1, Cores: 1, MemoryMB: 1, Runtime: 60 * time.Second}},
 	}}}
-	sc := &Scenario{
-		Cluster:  dcmodel.NewHomogeneous("c", 2, dcmodel.ClassCommodity, 8),
+	res, err := Run(&Scenario{
+		Cluster:  dcmodel.NewHomogeneous("c", 1, dcmodel.ClassCommodity, 8),
 		Workload: w,
-		Failures: failure.IndependentModel(2*time.Minute, 30*time.Second),
-		Horizon:  6 * time.Hour,
-		Seed:     3,
-	}
-	res, err := Run(sc)
+		FailureSource: func(int, time.Duration, []string) ([]failure.Event, error) {
+			return []failure.Event{{At: 30 * time.Second, Machines: []int{0}, Repair: time.Minute}}, nil
+		},
+		Horizon: 6 * time.Hour,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Completed+res.Failed != 1 {
-		t.Fatalf("task lost: completed=%d failed=%d", res.Completed, res.Failed)
+	if res.Completed != 1 || len(res.Records) != 1 {
+		t.Fatalf("completed=%d failed=%d records=%d, want the one task completed", res.Completed, res.Failed, len(res.Records))
 	}
-	if res.FailureRestarts == 0 {
-		t.Skip("seed produced no failure overlapping the task; adjust seed")
+	if res.FailureRestarts < 1 {
+		t.Fatalf("FailureRestarts = %d, want >= 1", res.FailureRestarts)
 	}
-	if res.Completed == 1 {
-		var rec TaskRecord
-		for _, r := range res.Records {
-			rec = r
-		}
-		if rec.Attempts < 2 {
-			t.Errorf("attempts=%d after %d restarts", rec.Attempts, res.FailureRestarts)
-		}
+	if got := res.Records[0].Attempts; got != res.FailureRestarts+1 {
+		t.Errorf("attempts = %d after %d restarts, want restarts + 1", got, res.FailureRestarts)
 	}
 }
 

@@ -13,7 +13,10 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"mcs/internal/trace"
 )
@@ -64,7 +67,7 @@ const DefaultKind = "datacenter"
 func ParseCommon(raw json.RawMessage) (Common, error) {
 	var c Common
 	if err := json.Unmarshal(raw, &c); err != nil {
-		return c, fmt.Errorf("scenario: parse envelope: %w", err)
+		return c, fmt.Errorf("scenario: parse envelope: %w", pointerError(raw, err))
 	}
 	if c.Kind == "" {
 		c.Kind = DefaultKind
@@ -143,7 +146,52 @@ func strictKind(kind string, raw json.RawMessage) error {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(sch.Schema()); err != nil {
-		return fmt.Errorf("scenario %q: strict parse: %w", kind, err)
+		return fmt.Errorf("scenario %q: strict parse: %w", kind, pointerError(raw, err))
 	}
 	return nil
+}
+
+// pointerError rewrites a JSON type error to name the offending value by
+// its JSON pointer in the document (/seed, /sites/1/machines) instead of
+// the Go struct field it failed to fill. Other errors pass through. The
+// decoder reports type errors only on syntactically valid input, so the
+// walk over raw meets no token error.
+func pointerError(raw []byte, err error) error {
+	var te *json.UnmarshalTypeError
+	if !errors.As(err, &te) {
+		return err
+	}
+	if ptr, ok := pointerAt(json.NewDecoder(bytes.NewReader(raw)), "", te.Offset); ok && ptr != "" {
+		return fmt.Errorf("json: %s: cannot unmarshal %s into %s", ptr, te.Value, te.Type)
+	}
+	return err
+}
+
+var pointerEscaper = strings.NewReplacer("~", "~0", "/", "~1")
+
+// pointerAt walks the value dec reads next, whose pointer is path, to the
+// first value in document order that reaches byte offset off, where the
+// decoder reports a type error: the end of a mistyped literal, or just past
+// the opening of a mistyped object or array.
+func pointerAt(dec *json.Decoder, path string, off int64) (string, bool) {
+	tok, err := dec.Token()
+	if err != nil || dec.InputOffset() >= off {
+		return path, err == nil
+	}
+	if tok != json.Delim('{') && tok != json.Delim('[') {
+		return "", false
+	}
+	for i := 0; dec.More(); i++ {
+		child := path + "/" + strconv.Itoa(i)
+		if tok == json.Delim('{') {
+			key, _ := dec.Token() // an object key: a string on valid input
+			name, _ := key.(string)
+			child = path + "/" + pointerEscaper.Replace(name)
+		}
+		if p, ok := pointerAt(dec, child, off); ok {
+			return p, true
+		}
+	}
+	dec.Token() // the closing delimiter
+	return "", false
 }

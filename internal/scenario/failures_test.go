@@ -4,23 +4,19 @@ package scenario_test
 // envelope (PR: "failures" section + scenario.Common redesign). The
 // load-bearing contracts:
 //
-//   - every golden document (testdata/golden and examples/) parses
-//     under Strict and reproduces its captured result bytes;
 //   - documents WITH the section are seed-stable and their failure timeline
 //     derives from the document seed, never the kernel RNG;
-//   - every failure parameter is a JSON-pointer sweep axis whose combined
-//     report is invariant to the worker count;
+//   - every failure parameter is a JSON-pointer sweep axis (the
+//     resilience-campaign golden pins one; TestDeterminismContract runs it
+//     at every pool size and fleet shape);
 //   - kinds without a degradable capacity model reject the section loudly;
 //   - -strict surfaces misspelled fields with the offending key.
 
 import (
 	"bytes"
 	"encoding/json"
-	"io/fs"
-	"maps"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -37,19 +33,6 @@ import (
 	_ "mcs/internal/social"
 )
 
-// encodeResult reproduces cmd/mcsim's output encoding (indented JSON plus a
-// trailing newline), the format the golden captures were taken in.
-func encodeResult(t *testing.T, res *scenario.Result) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 func runDocBytes(t *testing.T, doc string) []byte {
 	t.Helper()
 	res, err := scenario.RunDocument(json.RawMessage(doc))
@@ -57,77 +40,6 @@ func runDocBytes(t *testing.T, doc string) []byte {
 		t.Fatal(err)
 	}
 	return encodeResult(t, res)
-}
-
-// goldenDocs maps each golden subtest name to its document: the captured
-// per-kind documents under testdata/golden, and every document under
-// examples/, named by its path there with "/" as "-" and ".json" dropped
-// (examples/paper/d1-autoscalers.json is paper-d1-autoscalers). Either way
-// the result is captured as testdata/golden/<name>.result.json.
-func goldenDocs(t testing.TB) map[string]string {
-	t.Helper()
-	docs := map[string]string{}
-	captured, err := filepath.Glob(filepath.Join("testdata", "golden", "*.doc.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range captured {
-		docs[strings.TrimSuffix(filepath.Base(p), ".doc.json")] = p
-	}
-	examples := filepath.Join("..", "..", "examples")
-	n := 0
-	err = filepath.WalkDir(examples, func(p string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || filepath.Ext(p) != ".json" {
-			return err
-		}
-		rel, err := filepath.Rel(examples, p)
-		if err != nil {
-			return err
-		}
-		name := strings.ReplaceAll(filepath.ToSlash(strings.TrimSuffix(rel, ".json")), "/", "-")
-		if prev, ok := docs[name]; ok {
-			t.Fatalf("golden name %s is taken by both %s and %s", name, prev, p)
-		}
-		docs[name] = p
-		n++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(captured) == 0 || n == 0 {
-		t.Fatalf("golden documents missing: %d captured, %d examples", len(captured), n)
-	}
-	return docs
-}
-
-// TestGoldenDocsByteIdentical replays every golden document, checks it
-// parses under Strict (a misspelled field would otherwise fall back to its
-// default silently), and compares the result bytes against the committed
-// capture. Any change that moves a report byte of an existing document
-// fails here.
-func TestGoldenDocsByteIdentical(t *testing.T) {
-	docs := goldenDocs(t)
-	for _, name := range slices.Sorted(maps.Keys(docs)) {
-		docPath := docs[name]
-		t.Run(name, func(t *testing.T) {
-			doc, err := os.ReadFile(docPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := scenario.Strict(doc); err != nil {
-				t.Fatalf("%s: %v", docPath, err)
-			}
-			want, err := os.ReadFile(filepath.Join("testdata", "golden", name+".result.json"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := runDocBytes(t, string(doc))
-			if !bytes.Equal(got, want) {
-				t.Errorf("result bytes changed for golden document %s:\n--- golden ---\n%s\n--- now ---\n%s", name, want, got)
-			}
-		})
-	}
 }
 
 // pinnedCells loads the golden result of a sweep document and indexes its
@@ -166,6 +78,11 @@ func TestExampleDocClaims(t *testing.T) {
 	off, on := dc["/failures/enabled=false,/machines=8,/seed=7"], dc["/failures/enabled=true,/machines=8,/seed=7"]
 	if on["p95WaitSeconds"] <= off["p95WaitSeconds"] {
 		t.Errorf("datacenter: 8 machines p95WaitSeconds %v with failures, %v without; want higher", on["p95WaitSeconds"], off["p95WaitSeconds"])
+	}
+	res := pinnedCells(t, "resilience-campaign")
+	short, long := res["/failures/groupSize/value=1,/failures/mtbf/mean=1800"], res["/failures/groupSize/value=1,/failures/mtbf/mean=7200"]
+	if short["failureEvents"] <= long["failureEvents"] {
+		t.Errorf("resilience: failureEvents %v at a 1800 s MTBF, %v at 7200 s; want more", short["failureEvents"], long["failureEvents"])
 	}
 }
 
@@ -252,71 +169,6 @@ func TestFailuresDisabledMatchesAbsent(t *testing.T) {
 		"failures": {"enabled": false, "mtbf": {"mean": 3600}}}`
 	if a, b := runDocBytes(t, base), runDocBytes(t, disabled); !bytes.Equal(a, b) {
 		t.Errorf("enabled:false differs from an absent section:\n%s\n%s", a, b)
-	}
-}
-
-// TestFailureAxisSweepWorkerCountInvariant sweeps the MTBF mean through the
-// sweep meta-scenario — the overlay's reason to exist: every failure
-// parameter is a JSON-pointer axis — and pins the combined report bytes
-// across worker-pool sizes.
-func TestFailureAxisSweepWorkerCountInvariant(t *testing.T) {
-	sweepDoc := func(parallel int) string {
-		return `{
-			"kind": "sweep", "seed": 17, "parallel": ` + string(rune('0'+parallel)) + `,
-			"base": {
-				"kind": "datacenter", "machines": 8,
-				"workload": {"jobs": 60, "pattern": "bursty"},
-				"horizonSeconds": 14400,
-				"failures": {
-					"mtbf": {"mean": 3600}, "repair": {"mean": 600},
-					"groupSize": {"dist": "const", "value": 1}
-				}
-			},
-			"grid": {
-				"/failures/mtbf/mean": [1800, 3600, 7200],
-				"/failures/groupSize/value": [1, 4]
-			}
-		}`
-	}
-	a := runDocBytes(t, sweepDoc(1))
-	b := runDocBytes(t, sweepDoc(4))
-	// The parallel field affects wall-clock only; it is excluded from the
-	// envelope (WallClock is json:"-"), so the bytes must match exactly.
-	if !bytes.Equal(a, b) {
-		t.Fatal("failure-axis sweep bytes depend on worker count")
-	}
-	var res scenario.Result
-	if err := json.Unmarshal(a, &res); err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cells) != 6 {
-		t.Fatalf("cells = %d, want 6", len(res.Cells))
-	}
-	seen := map[float64]bool{}
-	for _, cell := range res.Cells {
-		seen[cell.Metrics["failureEvents"]] = true
-	}
-	if len(seen) < 2 {
-		t.Error("sweeping /failures/mtbf/mean did not change failureEvents across cells")
-	}
-}
-
-// TestFederationFailuresPoolSizeInvariance runs federation-with-failures at
-// several per-site worker-pool sizes: per-site timelines are independent
-// document-seeded streams (ShardSource), so the bytes must not depend on the
-// pool size. The name matches the CI race job's -run pattern, putting the
-// overlay's concurrency under the race detector.
-func TestFederationFailuresPoolSizeInvariance(t *testing.T) {
-	doc := func(parallel int) string {
-		return strings.Replace(failureDocs["federation"],
-			`"policy": "least-loaded"`,
-			`"policy": "least-loaded", "parallel": `+string(rune('0'+parallel)), 1)
-	}
-	want := runDocBytes(t, doc(1))
-	for _, parallel := range []int{2, 4} {
-		if got := runDocBytes(t, doc(parallel)); !bytes.Equal(got, want) {
-			t.Errorf("parallel=%d changes federation-with-failures bytes", parallel)
-		}
 	}
 }
 
@@ -417,9 +269,10 @@ func TestFailureConfigErrorsNameFieldAndKind(t *testing.T) {
 	}
 }
 
-// TestStrictRejectsUnknownFields pins satellite 2: -strict's parser names
-// the offending key for misspelled fields, at the top level, inside the
-// failures section, and inside every expanded sweep cell.
+// TestStrictRejectsUnknownFields pins that -strict's parser names the
+// offending key for misspelled fields, at the top level, inside the
+// failures section, and inside every expanded sweep cell, and names a
+// mistyped value by its JSON pointer, never by the Go struct field.
 func TestStrictRejectsUnknownFields(t *testing.T) {
 	good := `{"kind": "banking", "transactions": 100, "seed": 1}`
 	if err := scenario.Strict(json.RawMessage(good)); err != nil {
@@ -441,15 +294,39 @@ func TestStrictRejectsUnknownFields(t *testing.T) {
 			`{"kind": "sweep", "base": {"kind": "banking", "transactions": 100}, "grid": {"/transacions": [200]}}`,
 			"transacions",
 		},
+		{"mistyped top-level field", `{"seed": "x"}`, "/seed: cannot unmarshal string into int64"},
+		{"mistyped nested field", `{"workload": {"jobs": "x"}}`, "/workload/jobs: cannot unmarshal"},
+		{"mistyped schema field", `{"kind": "datacenter", "machines": "x"}`, "/machines: cannot unmarshal"},
+		{"mistyped array element", `{"kind": "federation", "sites": [{"name": "a"}, {"name": "b", "machines": "x"}]}`, "/sites/1/machines: cannot"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := scenario.Strict(json.RawMessage(tc.doc))
 			if err == nil {
-				t.Fatal("misspelled field accepted")
+				t.Fatal("misspelled or mistyped field accepted")
 			}
 			if !strings.Contains(err.Error(), tc.key) {
 				t.Errorf("error %q does not name the offending key %q", err, tc.key)
+			}
+		})
+	}
+}
+
+// TestTraceReplayRejectsBadSources: every trace-capable kind rejects a
+// missing trace file and an unknown format at Configure.
+func TestTraceReplayRejectsBadSources(t *testing.T) {
+	for _, kind := range scenario.List() {
+		if !isProvider(kind) {
+			continue
+		}
+		t.Run(kind, func(t *testing.T) {
+			missing := json.RawMessage(`{"workload": {"trace": "/nonexistent/trace.mcw"}}`)
+			if _, err := scenario.New(kind, missing); err == nil {
+				t.Error("missing trace file did not error at Configure")
+			}
+			badFormat := json.RawMessage(`{"workload": {"trace": "x.mcw", "format": "parquet"}}`)
+			if _, err := scenario.New(kind, badFormat); err == nil {
+				t.Error("unknown trace format did not error at Configure")
 			}
 		})
 	}

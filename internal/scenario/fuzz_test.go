@@ -2,9 +2,6 @@ package scenario_test
 
 import (
 	"encoding/json"
-	"maps"
-	"os"
-	"slices"
 	"testing"
 
 	"mcs/internal/scenario"
@@ -17,13 +14,8 @@ import (
 // -fuzztime smoke, and `go test` replays the seeds and any committed
 // regression inputs under testdata/fuzz.
 func FuzzDocument(f *testing.F) {
-	docs := goldenDocs(f)
-	for _, name := range slices.Sorted(maps.Keys(docs)) {
-		doc, err := os.ReadFile(docs[name])
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(doc)
+	for _, g := range loadGoldens(f) {
+		f.Add([]byte(g.doc))
 	}
 	kinds := scenario.List()
 	f.Fuzz(func(t *testing.T, doc []byte) {
