@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"mcs/internal/dcmodel"
@@ -114,13 +113,26 @@ type engine struct {
 	scenario *Scenario
 	cfg      sched.Config
 
-	pending    []*sched.QueuedTask
-	records    map[workload.TaskID]*TaskRecord
-	tasks      map[workload.TaskID]*workload.Task
-	jobs       map[workload.JobID]*workload.Job
-	remaining  map[workload.TaskID]int // unfinished dependency count
-	dependents map[workload.TaskID][]workload.TaskID
-	running    map[workload.TaskID]*running
+	pending []*sched.QueuedTask
+
+	// Per-task state is kept in columns indexed by the task's position in
+	// the workload: job j's tasks sit at positions jobStart[j] up to
+	// jobStart[j+1], in slice order. Positions are fixed once in RunOn, so
+	// no state is keyed by task ID, and tasks whose IDs collide across
+	// jobs (a federation site receives jobs numbered by several origins)
+	// keep separate state.
+	jobs      []workload.Job
+	jobStart  []int32 // len(jobs)+1
+	jobOf     []int32 // position → job index
+	records   []TaskRecord
+	queued    []sched.QueuedTask // one per task; makeReady hands it out
+	remaining []int32            // unfinished dependency count
+	// The positions waiting on p are depList[depStart[p]:depStart[p+1]],
+	// in task order.
+	depStart  []int32
+	depList   []int32
+	submitted int // jobs submitted so far; their tasks have records
+	running   map[int]*running
 
 	schedArmed  bool
 	schedPass   sim.Handler // built once; armScheduler queues it
@@ -211,22 +223,17 @@ func RunOn(k *sim.Kernel, sc *Scenario) (*Result, error) {
 		maxRetries = 5
 	}
 
-	nTasks := sc.Workload.TaskCount()
 	e := &engine{
 		k:          k,
 		scenario:   sc,
 		cfg:        cfg,
-		records:    make(map[workload.TaskID]*TaskRecord, nTasks),
-		tasks:      make(map[workload.TaskID]*workload.Task, nTasks),
-		jobs:       make(map[workload.JobID]*workload.Job, len(sc.Workload.Jobs)),
-		remaining:  make(map[workload.TaskID]int, nTasks),
-		dependents: make(map[workload.TaskID][]workload.TaskID),
-		running:    make(map[workload.TaskID]*running),
+		running:    make(map[int]*running),
 		maxRetries: maxRetries,
 		// Generation 1 differs from the zero powerGen, so the first read
 		// computes.
 		machineGen: 1,
 	}
+	e.index(sc.Workload.Jobs)
 	e.schedPass = func(now sim.Time) {
 		e.schedArmed = false
 		e.schedule(now)
@@ -248,14 +255,10 @@ func RunOn(k *sim.Kernel, sc *Scenario) (*Result, error) {
 	jobs := sc.Workload.Jobs
 	submits := make([]sim.Time, len(jobs))
 	for i := range jobs {
-		e.jobs[jobs[i].ID] = &jobs[i]
 		submits[i] = jobs[i].Submit
 	}
-	nextJob := 0
 	if err := e.k.ScheduleStream(submits, func(now sim.Time) {
-		job := &jobs[nextJob]
-		nextJob++
-		e.submitJob(job, now)
+		e.submitJob(now)
 	}); err != nil {
 		return nil, fmt.Errorf("opendc: schedule submits: %w", err)
 	}
@@ -340,36 +343,89 @@ func RunOn(k *sim.Kernel, sc *Scenario) (*Result, error) {
 	return e.finish(), nil
 }
 
-// submitJob registers the job's tasks and marks dependency-free ones ready.
-func (e *engine) submitJob(job *workload.Job, now sim.Time) {
-	for i := range job.Tasks {
-		t := &job.Tasks[i]
-		e.tasks[t.ID] = t
-		e.records[t.ID] = &TaskRecord{
-			Job: job.ID, Task: t.ID, User: job.User,
-			Submit: job.Submit, Machine: -1,
-		}
-		e.remaining[t.ID] = len(t.Deps)
-		for _, dep := range t.Deps {
-			e.dependents[dep] = append(e.dependents[dep], t.ID)
+// index lays out the per-task columns: one record, queue entry and
+// dependency count per position, and the dependents of every task. Deps
+// name tasks of the same job (Workload.Validate checks it), so each job
+// resolves its dependency IDs to positions on its own.
+func (e *engine) index(jobs []workload.Job) {
+	e.jobs = jobs
+	e.jobStart = make([]int32, len(jobs)+1)
+	n := 0
+	for j := range jobs {
+		e.jobStart[j] = int32(n)
+		n += len(jobs[j].Tasks)
+	}
+	e.jobStart[len(jobs)] = int32(n)
+	e.jobOf = make([]int32, n)
+	e.records = make([]TaskRecord, n)
+	e.queued = make([]sched.QueuedTask, n)
+	e.remaining = make([]int32, n)
+	e.depStart = make([]int32, n+1)
+	type edge struct{ from, to int32 } // to waits on from
+	var edges []edge
+	var byID []int32 // a job's task indices in task-ID order
+	for j := range jobs {
+		job := &jobs[j]
+		base := e.jobStart[j]
+		byID = byID[:0]
+		for i := range job.Tasks {
+			t := &job.Tasks[i]
+			p := base + int32(i)
+			e.jobOf[p] = int32(j)
+			e.records[p] = TaskRecord{
+				Job: job.ID, Task: t.ID, User: job.User,
+				Submit: job.Submit, Machine: -1,
+			}
+			e.queued[p] = sched.QueuedTask{
+				Task: t, User: job.User, Submit: job.Submit,
+				RequireAccelerator: t.Accelerator, Pos: int(p),
+			}
+			e.remaining[p] = int32(len(t.Deps))
+			if len(t.Deps) > 0 && len(byID) == 0 {
+				for k := range job.Tasks {
+					byID = append(byID, int32(k))
+				}
+				slices.SortFunc(byID, func(a, b int32) int { return cmp.Compare(job.Tasks[a].ID, job.Tasks[b].ID) })
+			}
+			for _, dep := range t.Deps {
+				k, _ := slices.BinarySearchFunc(byID, dep, func(x int32, id workload.TaskID) int {
+					return cmp.Compare(job.Tasks[x].ID, id)
+				})
+				edges = append(edges, edge{from: base + byID[k], to: p})
+			}
 		}
 	}
-	for i := range job.Tasks {
-		t := &job.Tasks[i]
-		if e.remaining[t.ID] == 0 {
-			e.makeReady(t, job, now)
+	// Group the edges by the task they wait on, keeping task order within
+	// a group: the order complete readies dependents in.
+	slices.SortStableFunc(edges, func(a, b edge) int { return cmp.Compare(a.from, b.from) })
+	e.depList = make([]int32, len(edges))
+	for k, ed := range edges {
+		e.depStart[ed.from+1]++
+		e.depList[k] = ed.to
+	}
+	for p := 0; p < n; p++ {
+		e.depStart[p+1] += e.depStart[p]
+	}
+}
+
+// submitJob submits the next job in workload order and marks its
+// dependency-free tasks ready.
+func (e *engine) submitJob(now sim.Time) {
+	j := e.submitted
+	e.submitted++
+	for p := e.jobStart[j]; p < e.jobStart[j+1]; p++ {
+		if e.remaining[p] == 0 {
+			e.makeReady(p, now)
 		}
 	}
 	e.armScheduler()
 }
 
-func (e *engine) makeReady(t *workload.Task, job *workload.Job, now sim.Time) {
-	rec := e.records[t.ID]
-	rec.Ready = now
-	e.pending = append(e.pending, &sched.QueuedTask{
-		Task: t, User: job.User, Submit: job.Submit, Ready: now,
-		RequireAccelerator: t.Accelerator,
-	})
+func (e *engine) makeReady(p int32, now sim.Time) {
+	e.records[p].Ready = now
+	qt := &e.queued[p]
+	qt.Ready = now
+	e.pending = append(e.pending, qt)
 }
 
 // armScheduler coalesces scheduler invocations into one per instant.
@@ -536,7 +592,7 @@ func (e *engine) start(qt *sched.QueuedTask, m *dcmodel.Machine, now sim.Time) b
 	e.machineGen++
 	e.accrueUtil(now)
 	e.accrueEnergy(now)
-	rec := e.records[qt.Task.ID]
+	rec := &e.records[qt.Pos]
 	rec.Start = now
 	rec.Machine = m.ID
 	rec.Attempts++
@@ -544,24 +600,25 @@ func (e *engine) start(qt *sched.QueuedTask, m *dcmodel.Machine, now sim.Time) b
 	e.runningCores += qt.Task.Cores
 	dur := e.execTime(qt.Task, m)
 	r := &running{qt: qt, machine: m}
-	r.done = e.k.MustSchedule(dur, func(now sim.Time) { e.complete(qt.Task.ID, now) })
-	e.running[qt.Task.ID] = r
+	pos := qt.Pos
+	r.done = e.k.MustSchedule(dur, func(now sim.Time) { e.complete(pos, now) })
+	e.running[pos] = r
 	return true
 }
 
 // complete finishes a task, releases resources, and readies dependents.
-func (e *engine) complete(id workload.TaskID, now sim.Time) {
-	r, ok := e.running[id]
+func (e *engine) complete(pos int, now sim.Time) {
+	r, ok := e.running[pos]
 	if !ok {
 		return
 	}
-	delete(e.running, id)
+	delete(e.running, pos)
 	e.accrueUtil(now)
 	e.accrueEnergy(now)
 	r.machine.Release(r.qt.Task.Cores, r.qt.Task.MemoryMB)
 	e.machineGen++
 	e.runningCores -= r.qt.Task.Cores
-	rec := e.records[id]
+	rec := &e.records[pos]
 	rec.Finish = now
 	rec.Completed = true
 	e.energyAtDone = e.energyJoules
@@ -573,11 +630,10 @@ func (e *engine) complete(id workload.TaskID, now sim.Time) {
 	if obs, ok := e.cfg.Queue.(sched.Observer); ok {
 		obs.TaskCompleted(now, rec.Start-rec.Ready, now-rec.Start)
 	}
-	for _, depID := range e.dependents[id] {
-		e.remaining[depID]--
-		if e.remaining[depID] == 0 {
-			t := e.tasks[depID]
-			e.makeReady(t, e.jobs[t.Job], now)
+	for _, d := range e.depList[e.depStart[pos]:e.depStart[pos+1]] {
+		e.remaining[d]--
+		if e.remaining[d] == 0 {
+			e.makeReady(d, now)
 		}
 	}
 	e.armScheduler()
@@ -597,22 +653,23 @@ func (e *engine) failMachines(fe failure.Event, now sim.Time) {
 		}
 		e.accrueUtil(now)
 		e.accrueEnergy(now)
-		// Kill running tasks on m, in task-ID order: the requeue order feeds
-		// the scheduler's tie-breaking, so iterating the running map directly
-		// would leak map-iteration randomness into the result bytes.
-		var victims []workload.TaskID
-		for id, r := range e.running {
+		// Kill running tasks on m, in (task ID, position) order: the
+		// requeue order feeds the scheduler's tie-breaking, so iterating
+		// the running map directly would leak map-iteration randomness
+		// into the result bytes.
+		var victims []int
+		for pos, r := range e.running {
 			if r.machine == m {
-				victims = append(victims, id)
+				victims = append(victims, pos)
 			}
 		}
-		sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
-		for _, id := range victims {
-			r := e.running[id]
+		slices.SortFunc(victims, e.byTaskID)
+		for _, pos := range victims {
+			r := e.running[pos]
 			e.k.Cancel(r.done)
-			delete(e.running, id)
+			delete(e.running, pos)
 			e.runningCores -= r.qt.Task.Cores
-			rec := e.records[id]
+			rec := &e.records[pos]
 			e.failRestart++
 			if r.qt.Attempts >= e.maxRetries {
 				rec.Completed = false
@@ -658,6 +715,14 @@ func (e *engine) accrueUtil(now sim.Time) {
 	e.lastUtilAt = now
 }
 
+// byTaskID orders positions by (task ID, position).
+func (e *engine) byTaskID(a, b int) int {
+	if c := cmp.Compare(e.records[a].Task, e.records[b].Task); c != 0 {
+		return c
+	}
+	return cmp.Compare(a, b)
+}
+
 // finish assembles the result.
 func (e *engine) finish() *Result {
 	res := &Result{
@@ -665,38 +730,40 @@ func (e *engine) finish() *Result {
 		FailureWindow:   e.horizon,
 		SimulatedEvents: e.k.Processed(),
 	}
-	n := len(e.records)
+	// Only submitted jobs have records, and they form a prefix.
+	n := int(e.jobStart[e.submitted])
 	res.Records = make([]TaskRecord, 0, n)
 	waits := make([]float64, 0, n)
 	slowdowns := make([]float64, 0, n)
 	responses := make([]float64, 0, n)
 	const bound = 10 * time.Second
-	jobFinish := make(map[workload.JobID]time.Duration)
-	jobComplete := make(map[workload.JobID]bool)
-	for id := range e.jobs {
-		jobComplete[id] = true
+	jobFinish := make([]time.Duration, len(e.jobs))
+	jobComplete := make([]bool, len(e.jobs))
+	for j := range jobComplete {
+		jobComplete[j] = true
 	}
-	// Aggregate in task-ID order: map iteration order would reorder the
-	// floating-point sums below and break bit-exact reproducibility (C15).
-	ids := make([]workload.TaskID, 0, len(e.records))
-	for id := range e.records {
-		ids = append(ids, id)
+	// Report and aggregate in (task ID, position) order, which fixes the
+	// floating-point summation order below.
+	order := make([]int, n)
+	for p := range order {
+		order[p] = p
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		rec := e.records[id]
+	slices.SortFunc(order, e.byTaskID)
+	for _, p := range order {
+		rec := &e.records[p]
+		j := e.jobOf[p]
 		res.Records = append(res.Records, *rec)
 		if !rec.Completed {
 			res.Failed++
-			jobComplete[rec.Job] = false
+			jobComplete[j] = false
 			continue
 		}
 		res.Completed++
 		if rec.Finish > res.Makespan {
 			res.Makespan = rec.Finish
 		}
-		if rec.Finish > jobFinish[rec.Job] {
-			jobFinish[rec.Job] = rec.Finish
+		if rec.Finish > jobFinish[j] {
+			jobFinish[j] = rec.Finish
 		}
 		wait := rec.Wait()
 		waits = append(waits, wait.Seconds())
@@ -717,11 +784,12 @@ func (e *engine) finish() *Result {
 		res.MeanResponse = time.Duration(stats.Mean(responses) * float64(time.Second))
 	}
 	// Deadlines evaluate at job granularity.
-	for id, job := range e.jobs {
+	for j := range e.jobs {
+		job := &e.jobs[j]
 		if job.Deadline <= 0 {
 			continue
 		}
-		if jobComplete[id] && jobFinish[id] > 0 && jobFinish[id] <= job.Deadline {
+		if jobComplete[j] && jobFinish[j] > 0 && jobFinish[j] <= job.Deadline {
 			res.DeadlineMet++
 		} else {
 			res.DeadlineMisses++

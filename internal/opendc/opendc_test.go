@@ -360,3 +360,45 @@ func BenchmarkRun500Jobs(b *testing.B) {
 		}
 	}
 }
+
+// TestCollidingTaskIDsKeepSeparateState runs two jobs whose tasks share
+// IDs, as on a federation site that receives jobs from several origins,
+// each numbering its own from 1. Both tasks must complete with a record
+// each and give their cores back.
+func TestCollidingTaskIDsKeepSeparateState(t *testing.T) {
+	job := func(submit time.Duration) workload.Job {
+		return workload.Job{ID: 1, User: "u", Submit: submit, Tasks: []workload.Task{
+			{ID: 1, Job: 1, Cores: 4, MemoryMB: 100, Runtime: 10 * time.Second},
+			{ID: 2, Job: 1, Cores: 4, MemoryMB: 100, Runtime: 20 * time.Second, Deps: []workload.TaskID{1}},
+		}}
+	}
+	sc := &Scenario{
+		Cluster:  dcmodel.NewHomogeneous("c", 1, dcmodel.ClassCommodity, 8),
+		Workload: &workload.Workload{Jobs: []workload.Job{job(0), job(5 * time.Second)}},
+	}
+	res, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 4 || res.Failed != 0 || len(res.Records) != 4 {
+		t.Fatalf("completed=%d failed=%d records=%d, want 4, 0, 4", res.Completed, res.Failed, len(res.Records))
+	}
+	// Records come in (task ID, position) order: the first job's task
+	// before the second's at each ID.
+	for i, want := range []struct {
+		id     workload.TaskID
+		submit time.Duration
+	}{{1, 0}, {1, 5 * time.Second}, {2, 0}, {2, 5 * time.Second}} {
+		if r := res.Records[i]; r.Task != want.id || r.Submit != want.submit {
+			t.Errorf("record %d is task %d submitted %v, want task %d submitted %v", i, r.Task, r.Submit, want.id, want.submit)
+		}
+	}
+	if res.Makespan != 35*time.Second {
+		t.Errorf("makespan=%v, want 35s (each job's chain runs 30s)", res.Makespan)
+	}
+	for _, m := range sc.Cluster.Machines {
+		if m.UsedCores() != 0 {
+			t.Errorf("machine %d holds %d cores after the run", m.ID, m.UsedCores())
+		}
+	}
+}

@@ -35,6 +35,10 @@ type QueuedTask struct {
 	// RequireAccelerator constrains placement to machines whose class
 	// carries the named accelerator (paper C4, functional heterogeneity).
 	RequireAccelerator string
+	// Pos is the task's position in its workload (job-major order), the
+	// key the engine files the task's state under. Task IDs need not be
+	// unique across jobs; positions are.
+	Pos int
 }
 
 // QueuePolicy orders the pending queue. Implementations must not retain the
