@@ -198,19 +198,24 @@ func (c *Cluster) UpMachines() int {
 	return n
 }
 
-// PowerWatts returns the instantaneous cluster power draw; down machines
-// draw nothing, sleeping machines draw SleepWatts.
+// PowerWatts returns the machine's instantaneous power draw: nothing while
+// down, SleepWatts while asleep, the class's power model otherwise.
+func (m *Machine) PowerWatts() float64 {
+	switch {
+	case m.down:
+		return 0
+	case m.asleep:
+		return SleepWatts
+	}
+	return m.Class.Power(m.Utilization())
+}
+
+// PowerWatts returns the instantaneous cluster power draw, summed in
+// machine order.
 func (c *Cluster) PowerWatts() float64 {
 	total := 0.0
 	for _, m := range c.Machines {
-		if m.Down() {
-			continue
-		}
-		if m.Asleep() {
-			total += SleepWatts
-			continue
-		}
-		total += m.Class.Power(m.Utilization())
+		total += m.PowerWatts()
 	}
 	return total
 }

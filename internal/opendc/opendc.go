@@ -113,7 +113,11 @@ type engine struct {
 	scenario *Scenario
 	cfg      sched.Config
 
-	pending []*sched.QueuedTask
+	machines []*dcmodel.Machine
+
+	// pending is the queue a scheduling pass walks; the pass writes the
+	// tasks it leaves queued into spare and swaps the two.
+	pending, spare []*sched.QueuedTask
 
 	// Per-task state is kept in columns indexed by the task's position in
 	// the workload: job j's tasks sit at positions jobStart[j] up to
@@ -126,13 +130,23 @@ type engine struct {
 	jobOf     []int32 // position → job index
 	records   []TaskRecord
 	queued    []sched.QueuedTask // one per task; makeReady hands it out
+	done      []*sim.Event       // completion of the running attempt
 	remaining []int32            // unfinished dependency count
 	// The positions waiting on p are depList[depStart[p]:depStart[p+1]],
 	// in task order.
 	depStart  []int32
 	depList   []int32
 	submitted int // jobs submitted so far; their tasks have records
-	running   map[int]*running
+
+	// byDone is the running set as a completion index, sorted by
+	// (completion time, start order) descending, so the next task to
+	// complete is last. The kernel fires same-instant events in the order
+	// they were scheduled, so the completion event firing now is always
+	// the last entry's, and one shared handler (onDone) serves every task.
+	byDone  []release
+	onDone  sim.Handler
+	free    []int   // reservationTime scratch, one entry per machine
+	victims []int32 // failMachines scratch
 
 	schedArmed  bool
 	schedPass   sim.Handler // built once; armScheduler queues it
@@ -144,15 +158,17 @@ type engine struct {
 
 	runningCores int
 
-	// machineGen counts machine-state changes: it is bumped right after
-	// each Allocate, Release, SetDown and SetAsleep the engine makes, and
-	// nothing else mutates a machine during a run. Cluster power is a pure
-	// function of machine state, so a value computed at generation g stays
-	// exact until the generation moves; powerGen records the generation
+	// machineGen counts machine-state changes: touch bumps it, and
+	// refreshes the machine's entry in watts, right after each Allocate,
+	// Release, SetDown and SetAsleep the engine makes; nothing else
+	// mutates a machine during a run. Cluster power is the sum of watts
+	// in machine order, so a value computed at generation g stays exact
+	// until the generation moves; powerGen records the generation
 	// lastPowerW was computed at. This keeps the monitor tick, which is
 	// most of a cell's events, from re-summing every machine.
 	machineGen uint64
 	powerGen   uint64
+	watts      []float64
 
 	energyJoules float64
 	lastPowerAt  time.Duration
@@ -166,16 +182,19 @@ type engine struct {
 	energyAtDone, utilAtDone float64
 	clockAtDone              time.Duration
 
-	// Power management state (nil policy disables it).
+	// Power management state (nil policy disables it), per machine:
+	// idleSince is when the machine was first seen idle (-1: not idle).
 	power     *PowerPolicy
-	idleSince map[dcmodel.MachineID]time.Duration
-	waking    map[dcmodel.MachineID]bool
+	idleSince []time.Duration
+	waking    []bool
 }
 
-type running struct {
-	qt      *sched.QueuedTask
-	machine *dcmodel.Machine
-	done    *sim.Event
+// release is one running task in the completion index.
+type release struct {
+	at      sim.Time
+	pos     int32
+	machine int32 // index into the cluster's machines
+	cores   int32
 }
 
 // Errors returned by Run for invalid scenarios.
@@ -227,17 +246,22 @@ func RunOn(k *sim.Kernel, sc *Scenario) (*Result, error) {
 		k:          k,
 		scenario:   sc,
 		cfg:        cfg,
-		running:    make(map[int]*running),
+		machines:   sc.Cluster.Machines,
 		maxRetries: maxRetries,
-		// Generation 1 differs from the zero powerGen, so the first read
-		// computes.
-		machineGen: 1,
+		free:       make([]int, len(sc.Cluster.Machines)),
+		watts:      make([]float64, len(sc.Cluster.Machines)),
 	}
 	e.index(sc.Workload.Jobs)
+	// Touching every machine fills watts and moves the generation off the
+	// zero powerGen, so the first accrue sums the column.
+	for i := range e.machines {
+		e.touch(i)
+	}
 	e.schedPass = func(now sim.Time) {
 		e.schedArmed = false
 		e.schedule(now)
 	}
+	e.onDone = e.complete
 	e.horizon = sc.Horizon
 	if e.horizon == 0 {
 		// Generous internal bound: workload span plus serial execution of
@@ -313,8 +337,11 @@ func RunOn(k *sim.Kernel, sc *Scenario) (*Result, error) {
 			p.WakeDelay = 30 * time.Second
 		}
 		e.power = &p
-		e.idleSince = make(map[dcmodel.MachineID]time.Duration, len(sc.Cluster.Machines))
-		e.waking = make(map[dcmodel.MachineID]bool)
+		e.idleSince = make([]time.Duration, len(e.machines))
+		for i := range e.idleSince {
+			e.idleSince[i] = -1
+		}
+		e.waking = make([]bool, len(e.machines))
 		powerTicker = sim.NewTicker(e.k, p.IdleTimeout/2, func(now sim.Time) {
 			e.sleepIdleMachines(now)
 		})
@@ -359,8 +386,14 @@ func (e *engine) index(jobs []workload.Job) {
 	e.jobOf = make([]int32, n)
 	e.records = make([]TaskRecord, n)
 	e.queued = make([]sched.QueuedTask, n)
+	e.done = make([]*sim.Event, n)
 	e.remaining = make([]int32, n)
 	e.depStart = make([]int32, n+1)
+	// The queue never outgrows the tasks, and the running set never
+	// outgrows the cores either, since every task takes at least one.
+	e.pending = make([]*sched.QueuedTask, 0, n)
+	e.spare = make([]*sched.QueuedTask, 0, n)
+	e.byDone = make([]release, 0, min(n, e.scenario.Cluster.TotalCores()))
 	type edge struct{ from, to int32 } // to waits on from
 	var edges []edge
 	var byID []int32 // a job's task indices in task-ID order
@@ -443,24 +476,17 @@ func (e *engine) sleepIdleMachines(now sim.Time) {
 	if e.power == nil || len(e.pending) > 0 {
 		return
 	}
-	for _, m := range e.scenario.Cluster.Machines {
-		if m.Down() || m.Asleep() || m.UsedCores() > 0 || e.waking[m.ID] {
-			delete(e.idleSince, m.ID)
-			if m.UsedCores() == 0 && !m.Down() && !m.Asleep() && !e.waking[m.ID] {
-				e.idleSince[m.ID] = now
-			}
-			continue
-		}
-		since, ok := e.idleSince[m.ID]
-		if !ok {
-			e.idleSince[m.ID] = now
-			continue
-		}
-		if now-since >= e.power.IdleTimeout {
+	for i, m := range e.machines {
+		switch {
+		case m.Down() || m.Asleep() || m.UsedCores() > 0 || e.waking[i]:
+			e.idleSince[i] = -1
+		case e.idleSince[i] < 0:
+			e.idleSince[i] = now
+		case now-e.idleSince[i] >= e.power.IdleTimeout:
 			e.accrueEnergy(now)
 			m.SetAsleep(true)
-			e.machineGen++
-			delete(e.idleSince, m.ID)
+			e.touch(i)
+			e.idleSince[i] = -1
 		}
 	}
 }
@@ -471,21 +497,20 @@ func (e *engine) wakeMachines(n int, now sim.Time) {
 	if e.power == nil || n <= 0 {
 		return
 	}
-	for _, m := range e.scenario.Cluster.Machines {
+	for i, m := range e.machines {
 		if n == 0 {
 			return
 		}
-		if !m.Asleep() || e.waking[m.ID] {
+		if !m.Asleep() || e.waking[i] {
 			continue
 		}
 		n--
-		e.waking[m.ID] = true
-		m := m
+		e.waking[i] = true
 		e.k.AfterFunc(e.power.WakeDelay, func(now sim.Time) {
 			e.accrueEnergy(now)
 			m.SetAsleep(false)
-			e.machineGen++
-			delete(e.waking, m.ID)
+			e.touch(i)
+			e.waking[i] = false
 			e.armScheduler()
 		})
 	}
@@ -497,12 +522,11 @@ func (e *engine) schedule(now sim.Time) {
 		return
 	}
 	e.cfg.Queue.Order(e.pending, now)
-	machines := e.scenario.Cluster.Machines
 
 	var reservation sim.Time // EASY shadow time; 0 = none
-	var leftover []*sched.QueuedTask
+	leftover := e.spare[:0]
 	for i, qt := range e.pending {
-		m := e.cfg.Placement.Select(machines, qt)
+		m := e.cfg.Placement.Select(e.machines, qt)
 		if m != nil {
 			// EASY: a backfilled task must not delay the reservation unless
 			// it finishes before the shadow time.
@@ -522,19 +546,19 @@ func (e *engine) schedule(now sim.Time) {
 		switch e.cfg.Mode {
 		case sched.Strict:
 			leftover = append(leftover, e.pending[i:]...)
-			e.pending = leftover
+			e.pending, e.spare = leftover, e.pending[:0]
 			e.wakeMachines(len(leftover), now)
 			return
 		case sched.EASY:
 			leftover = append(leftover, qt)
 			if reservation == 0 {
-				reservation = e.reservationTime(qt, now)
+				reservation = e.reservationTime(qt)
 			}
 		case sched.Greedy:
 			leftover = append(leftover, qt)
 		}
 	}
-	e.pending = leftover
+	e.pending, e.spare = leftover, e.pending[:0]
 	if len(leftover) > 0 {
 		e.wakeMachines(len(leftover), now)
 	}
@@ -546,35 +570,24 @@ func (e *engine) execTime(t *workload.Task, m *dcmodel.Machine) time.Duration {
 }
 
 // reservationTime estimates the earliest time the task will fit, assuming
-// running tasks complete as planned — the EASY "shadow time".
-func (e *engine) reservationTime(qt *sched.QueuedTask, now sim.Time) sim.Time {
-	type release struct {
-		at    sim.Time
-		cores int
-		m     *dcmodel.Machine
-	}
-	var releases []release
-	for _, r := range e.running {
-		releases = append(releases, release{at: r.done.At(), cores: r.qt.Task.Cores, m: r.machine})
-	}
-	// Sort by completion time (insertion sort; running set is modest).
-	for i := 1; i < len(releases); i++ {
-		for j := i; j > 0 && releases[j].at < releases[j-1].at; j-- {
-			releases[j], releases[j-1] = releases[j-1], releases[j]
+// running tasks complete as planned — the EASY "shadow time": walking the
+// completion index in time order, the first release after which some
+// machine's free cores reach the request. Free cores only grow along the
+// walk, so the instant does not depend on how same-instant releases are
+// ordered. A machine the task may not use starts from zero free cores but
+// still collects its releases, as it always has.
+func (e *engine) reservationTime(qt *sched.QueuedTask) sim.Time {
+	free := e.free
+	for i, m := range e.machines {
+		free[i] = 0
+		if (qt.RequireAccelerator == "" || m.Class.Accelerator == qt.RequireAccelerator) && !m.Down() {
+			free[i] = m.FreeCores()
 		}
 	}
-	free := make(map[dcmodel.MachineID]int, len(e.scenario.Cluster.Machines))
-	for _, m := range e.scenario.Cluster.Machines {
-		if qt.RequireAccelerator != "" && m.Class.Accelerator != qt.RequireAccelerator {
-			continue
-		}
-		if !m.Down() {
-			free[m.ID] = m.FreeCores()
-		}
-	}
-	for _, rel := range releases {
-		free[rel.m.ID] += rel.cores
-		if free[rel.m.ID] >= qt.Task.Cores {
+	for i := len(e.byDone) - 1; i >= 0; i-- {
+		rel := &e.byDone[i]
+		free[rel.machine] += int(rel.cores)
+		if free[rel.machine] >= qt.Task.Cores {
 			return rel.at
 		}
 	}
@@ -589,7 +602,8 @@ func (e *engine) start(qt *sched.QueuedTask, m *dcmodel.Machine, now sim.Time) b
 	if !m.Allocate(qt.Task.Cores, qt.Task.MemoryMB) {
 		return false
 	}
-	e.machineGen++
+	mi := e.machineIndex(m)
+	e.touch(mi)
 	e.accrueUtil(now)
 	e.accrueEnergy(now)
 	rec := &e.records[qt.Pos]
@@ -598,26 +612,58 @@ func (e *engine) start(qt *sched.QueuedTask, m *dcmodel.Machine, now sim.Time) b
 	rec.Attempts++
 	qt.Attempts++
 	e.runningCores += qt.Task.Cores
-	dur := e.execTime(qt.Task, m)
-	r := &running{qt: qt, machine: m}
-	pos := qt.Pos
-	r.done = e.k.MustSchedule(dur, func(now sim.Time) { e.complete(pos, now) })
-	e.running[pos] = r
+	done := e.k.MustSchedule(e.execTime(qt.Task, m), e.onDone)
+	e.done[qt.Pos] = done
+	e.addRunning(done.At(), qt.Pos, mi, qt.Task.Cores)
 	return true
 }
 
-// complete finishes a task, releases resources, and readies dependents.
-func (e *engine) complete(pos int, now sim.Time) {
-	r, ok := e.running[pos]
-	if !ok {
-		return
+// addRunning files a task that just started in the completion index.
+// It starts after every task already running, so it goes after every
+// entry that completes later and before every entry that completes no
+// later.
+func (e *engine) addRunning(at sim.Time, pos, machine, cores int) {
+	lo, hi := 0, len(e.byDone)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if e.byDone[mid].at > at {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	delete(e.running, pos)
+	e.byDone = slices.Insert(e.byDone, lo, release{
+		at: at, pos: int32(pos), machine: int32(machine), cores: int32(cores),
+	})
+}
+
+// machineIndex returns m's index in the cluster. Machines are usually
+// numbered by index; the scan covers clusters that are not.
+func (e *engine) machineIndex(m *dcmodel.Machine) int {
+	if i := int(m.ID); i >= 0 && i < len(e.machines) && e.machines[i] == m {
+		return i
+	}
+	return slices.Index(e.machines, m)
+}
+
+// complete finishes the task whose completion event fires now, releases
+// its resources, and readies its dependents.
+func (e *engine) complete(now sim.Time) {
+	last := len(e.byDone) - 1
+	r := e.byDone[last]
+	if r.at != now {
+		panic(fmt.Sprintf("opendc: completion at %v fired at %v", r.at, now))
+	}
+	e.byDone = e.byDone[:last]
+	pos := r.pos
+	e.done[pos] = nil
+	qt := &e.queued[pos]
+	m := e.machines[r.machine]
 	e.accrueUtil(now)
 	e.accrueEnergy(now)
-	r.machine.Release(r.qt.Task.Cores, r.qt.Task.MemoryMB)
-	e.machineGen++
-	e.runningCores -= r.qt.Task.Cores
+	m.Release(qt.Task.Cores, qt.Task.MemoryMB)
+	e.touch(int(r.machine))
+	e.runningCores -= qt.Task.Cores
 	rec := &e.records[pos]
 	rec.Finish = now
 	rec.Completed = true
@@ -625,7 +671,7 @@ func (e *engine) complete(pos int, now sim.Time) {
 	e.utilAtDone = e.utilIntegral
 	e.clockAtDone = now
 	if fs, ok := e.cfg.Queue.(*sched.FairShare); ok {
-		fs.Charge(rec.User, float64(r.qt.Task.Cores)*e.execTime(r.qt.Task, r.machine).Seconds())
+		fs.Charge(rec.User, float64(qt.Task.Cores)*e.execTime(qt.Task, m).Seconds())
 	}
 	if obs, ok := e.cfg.Queue.(sched.Observer); ok {
 		obs.TaskCompleted(now, rec.Start-rec.Ready, now-rec.Start)
@@ -642,50 +688,51 @@ func (e *engine) complete(pos int, now sim.Time) {
 // failMachines applies a failure event: kills running tasks on the victims,
 // marks them down, and schedules repair.
 func (e *engine) failMachines(fe failure.Event, now sim.Time) {
-	cluster := e.scenario.Cluster
 	for _, idx := range fe.Machines {
-		if idx < 0 || idx >= len(cluster.Machines) {
+		if idx < 0 || idx >= len(e.machines) {
 			continue
 		}
-		m := cluster.Machines[idx]
+		m := e.machines[idx]
 		if m.Down() {
 			continue
 		}
 		e.accrueUtil(now)
 		e.accrueEnergy(now)
 		// Kill running tasks on m, in (task ID, position) order: the
-		// requeue order feeds the scheduler's tie-breaking, so iterating
-		// the running map directly would leak map-iteration randomness
-		// into the result bytes.
-		var victims []int
-		for pos, r := range e.running {
-			if r.machine == m {
-				victims = append(victims, pos)
+		// requeue order feeds the scheduler's tie-breaking.
+		victims := e.victims[:0]
+		for _, r := range e.byDone {
+			if int(r.machine) == idx {
+				victims = append(victims, r.pos)
 			}
+		}
+		if len(victims) > 0 {
+			e.byDone = slices.DeleteFunc(e.byDone, func(r release) bool { return int(r.machine) == idx })
 		}
 		slices.SortFunc(victims, e.byTaskID)
 		for _, pos := range victims {
-			r := e.running[pos]
-			e.k.Cancel(r.done)
-			delete(e.running, pos)
-			e.runningCores -= r.qt.Task.Cores
+			e.k.Cancel(e.done[pos])
+			e.done[pos] = nil
+			qt := &e.queued[pos]
+			e.runningCores -= qt.Task.Cores
 			rec := &e.records[pos]
 			e.failRestart++
-			if r.qt.Attempts >= e.maxRetries {
+			if qt.Attempts >= e.maxRetries {
 				rec.Completed = false
 				rec.Finish = now
 				continue
 			}
-			r.qt.Ready = now
-			e.pending = append(e.pending, r.qt)
+			qt.Ready = now
+			e.pending = append(e.pending, qt)
 		}
+		e.victims = victims
 		m.SetDown(true)
-		e.machineGen++
+		e.touch(idx)
 		repairAt := now + fe.Repair
 		if repairAt < e.horizon {
 			e.k.AfterFunc(fe.Repair, func(now sim.Time) {
 				m.SetDown(false)
-				e.machineGen++
+				e.touch(idx)
 				e.armScheduler()
 			})
 		}
@@ -701,9 +748,22 @@ func (e *engine) accrueEnergy(now sim.Time) {
 	}
 	e.lastPowerAt = now
 	if e.powerGen != e.machineGen {
-		e.lastPowerW = e.scenario.Cluster.PowerWatts()
+		// Summed in machine order like Cluster.PowerWatts; a down machine
+		// adds +0.0, which leaves a non-negative sum's bits unchanged.
+		total := 0.0
+		for _, w := range e.watts {
+			total += w
+		}
+		e.lastPowerW = total
 		e.powerGen = e.machineGen
 	}
+}
+
+// touch records a state change of machine i, made just before: it
+// refreshes the machine's power draw and moves the machine generation.
+func (e *engine) touch(i int) {
+	e.watts[i] = e.machines[i].PowerWatts()
+	e.machineGen++
 }
 
 // accrueUtil integrates used core-seconds between state changes.
@@ -716,7 +776,7 @@ func (e *engine) accrueUtil(now sim.Time) {
 }
 
 // byTaskID orders positions by (task ID, position).
-func (e *engine) byTaskID(a, b int) int {
+func (e *engine) byTaskID(a, b int32) int {
 	if c := cmp.Compare(e.records[a].Task, e.records[b].Task); c != 0 {
 		return c
 	}
@@ -744,9 +804,9 @@ func (e *engine) finish() *Result {
 	}
 	// Report and aggregate in (task ID, position) order, which fixes the
 	// floating-point summation order below.
-	order := make([]int, n)
+	order := make([]int32, n)
 	for p := range order {
-		order[p] = p
+		order[p] = int32(p)
 	}
 	slices.SortFunc(order, e.byTaskID)
 	for _, p := range order {

@@ -14,8 +14,9 @@
 package sched
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"mcs/internal/dcmodel"
@@ -55,7 +56,7 @@ type FCFS struct{}
 
 // Order implements QueuePolicy.
 func (FCFS) Order(pending []*QueuedTask, _ time.Duration) {
-	sort.SliceStable(pending, func(i, j int) bool { return pending[i].Ready < pending[j].Ready })
+	slices.SortStableFunc(pending, func(a, b *QueuedTask) int { return cmp.Compare(a.Ready, b.Ready) })
 }
 
 // Name implements QueuePolicy.
@@ -66,9 +67,7 @@ type SJF struct{}
 
 // Order implements QueuePolicy.
 func (SJF) Order(pending []*QueuedTask, _ time.Duration) {
-	sort.SliceStable(pending, func(i, j int) bool {
-		return pending[i].Task.Runtime < pending[j].Task.Runtime
-	})
+	slices.SortStableFunc(pending, func(a, b *QueuedTask) int { return cmp.Compare(a.Task.Runtime, b.Task.Runtime) })
 }
 
 // Name implements QueuePolicy.
@@ -79,9 +78,7 @@ type LJF struct{}
 
 // Order implements QueuePolicy.
 func (LJF) Order(pending []*QueuedTask, _ time.Duration) {
-	sort.SliceStable(pending, func(i, j int) bool {
-		return pending[i].Task.Runtime > pending[j].Task.Runtime
-	})
+	slices.SortStableFunc(pending, func(a, b *QueuedTask) int { return cmp.Compare(b.Task.Runtime, a.Task.Runtime) })
 }
 
 // Name implements QueuePolicy.
@@ -100,7 +97,16 @@ func (WFP3) Order(pending []*QueuedTask, now time.Duration) {
 		w := wait / rt
 		return w * w * w * float64(t.Task.Cores)
 	}
-	sort.SliceStable(pending, func(i, j int) bool { return score(pending[i]) > score(pending[j]) })
+	slices.SortStableFunc(pending, func(a, b *QueuedTask) int {
+		sa, sb := score(a), score(b)
+		switch {
+		case sa > sb:
+			return -1
+		case sa < sb:
+			return 1
+		}
+		return 0
+	})
 }
 
 // Name implements QueuePolicy.
@@ -125,12 +131,15 @@ func (f *FairShare) Charge(user string, coreSeconds float64) {
 
 // Order implements QueuePolicy.
 func (f *FairShare) Order(pending []*QueuedTask, _ time.Duration) {
-	sort.SliceStable(pending, func(i, j int) bool {
-		ui, uj := f.usage[pending[i].User], f.usage[pending[j].User]
-		if ui != uj {
-			return ui < uj
+	slices.SortStableFunc(pending, func(a, b *QueuedTask) int {
+		ua, ub := f.usage[a.User], f.usage[b.User]
+		switch {
+		case ua < ub:
+			return -1
+		case ua > ub:
+			return 1
 		}
-		return pending[i].Ready < pending[j].Ready
+		return cmp.Compare(a.Ready, b.Ready)
 	})
 }
 
