@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"time"
 
@@ -112,7 +113,12 @@ func Generate(cfg GeneratorConfig, r *rand.Rand) (*Workload, error) {
 		cfg.UserSkew = def.UserSkew
 	}
 
-	userDist := stats.Zipf{S: cfg.UserSkew, N: uint64(cfg.Users)}
+	// One Zipf over the users serves every job: building it draws nothing
+	// from r, so the draws match a fresh stats.Zipf per job. Each drawn
+	// user's name is built once; the population itself may be far larger
+	// than the jobs drawn from it.
+	userDist := rand.NewZipf(r, cfg.UserSkew, 1, uint64(cfg.Users)-1)
+	userNames := make(map[uint64]string)
 	w := &Workload{Jobs: make([]Job, 0, cfg.Jobs)}
 	var clock time.Duration
 	var nextTask TaskID
@@ -122,15 +128,20 @@ func Generate(cfg GeneratorConfig, r *rand.Rand) (*Workload, error) {
 		if n < 1 {
 			n = 1
 		}
+		u := userDist.Uint64() + 1
+		user, ok := userNames[u]
+		if !ok {
+			user = "user" + strconv.FormatUint(u, 10)
+			userNames[u] = user
+		}
 		job := Job{
 			ID:     JobID(i + 1),
-			User:   "user" + strconv.Itoa(int(userDist.Sample(r))),
+			User:   user,
 			Submit: clock,
+			Tasks:  make([]Task, 0, n),
 		}
-		ids := make([]TaskID, n)
 		for t := 0; t < n; t++ {
 			nextTask++
-			ids[t] = nextTask
 			rt := cfg.RuntimeSeconds.Sample(r)
 			if rt < 0.001 {
 				rt = 0.001
@@ -143,7 +154,7 @@ func Generate(cfg GeneratorConfig, r *rand.Rand) (*Workload, error) {
 				Runtime:  time.Duration(rt * float64(time.Second)),
 			})
 		}
-		wireShape(&job, ids, cfg.Shape, r)
+		wireShape(&job, cfg.Shape, r)
 		if cfg.DeadlineFactor > 0 {
 			job.Deadline = job.Submit + time.Duration(cfg.DeadlineFactor*float64(job.CriticalPath()))
 		}
@@ -156,39 +167,43 @@ func Generate(cfg GeneratorConfig, r *rand.Rand) (*Workload, error) {
 }
 
 // wireShape adds dependency edges realizing the requested job shape.
-func wireShape(job *Job, ids []TaskID, shape Shape, r *rand.Rand) {
-	n := len(ids)
+func wireShape(job *Job, shape Shape, r *rand.Rand) {
+	tasks := job.Tasks
+	n := len(tasks)
 	switch shape {
 	case Chain:
 		for t := 1; t < n; t++ {
-			job.Tasks[t].Deps = []TaskID{ids[t-1]}
+			tasks[t].Deps = []TaskID{tasks[t-1].ID}
 		}
 	case ForkJoin:
 		if n >= 3 {
 			for t := 1; t < n-1; t++ {
-				job.Tasks[t].Deps = []TaskID{ids[0]}
+				tasks[t].Deps = []TaskID{tasks[0].ID}
 			}
-			deps := make([]TaskID, 0, n-2)
-			deps = append(deps, ids[1:n-1]...)
-			job.Tasks[n-1].Deps = deps
+			deps := make([]TaskID, n-2)
+			for t := range deps {
+				deps[t] = tasks[t+1].ID
+			}
+			tasks[n-1].Deps = deps
 		} else if n == 2 {
-			job.Tasks[1].Deps = []TaskID{ids[0]}
+			tasks[1].Deps = []TaskID{tasks[0].ID}
 		}
 	case RandomDAG:
-		// Layered random DAG: each task depends on 1-3 random tasks from
-		// earlier positions, guaranteeing acyclicity.
+		// Layered random DAG: each task depends on 1-3 distinct random
+		// tasks from earlier positions, guaranteeing acyclicity. Deps are
+		// listed in draw order.
 		for t := 1; t < n; t++ {
 			k := 1 + r.Intn(3)
 			if k > t {
 				k = t
 			}
-			seen := make(map[int]bool, k)
-			for len(seen) < k {
-				seen[r.Intn(t)] = true
+			deps := make([]TaskID, 0, k)
+			for len(deps) < k {
+				if id := tasks[r.Intn(t)].ID; !slices.Contains(deps, id) {
+					deps = append(deps, id)
+				}
 			}
-			for idx := range seen {
-				job.Tasks[t].Deps = append(job.Tasks[t].Deps, ids[idx])
-			}
+			tasks[t].Deps = deps
 		}
 	case BagOfTasks:
 		// no edges
