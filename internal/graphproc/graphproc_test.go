@@ -395,3 +395,60 @@ func BenchmarkBFSScale14(b *testing.B) {
 		BFS(g, 0, Sequential)
 	}
 }
+
+// lccBySets is the clustering coefficient counted over per-vertex
+// neighbour sets, the form LCC used before its sorted merge.
+func lccBySets(g *Graph) []float64 {
+	n := g.NumVertices()
+	sets := make([]map[int32]bool, n)
+	for v := int32(0); int(v) < n; v++ {
+		sets[v] = map[int32]bool{}
+		for _, u := range append(append([]int32(nil), g.Out(v)...), g.In(v)...) {
+			if u != v {
+				sets[v][u] = true
+			}
+		}
+	}
+	lcc := make([]float64, n)
+	for v := range sets {
+		d := len(sets[v])
+		if d < 2 {
+			continue
+		}
+		links := 0
+		for u := range sets[v] {
+			for w := range sets[u] {
+				if w != int32(v) && sets[v][w] {
+					links++
+				}
+			}
+		}
+		lcc[v] = float64(links) / float64(d*(d-1))
+	}
+	return lcc
+}
+
+// TestLCCMatchesNeighbourSets compares LCC bit for bit with the set-based
+// count on random graphs with self-loops and repeated edges.
+func TestLCCMatchesNeighbourSets(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + r.Intn(60)
+		edges := make([]Edge, r.Intn(8*n))
+		for i := range edges {
+			edges[i] = Edge{From: int32(r.Intn(n)), To: int32(r.Intn(n))}
+		}
+		g, err := FromEdges(n, edges, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := lccBySets(g)
+		for _, e := range []Engine{Sequential, ParallelBSP} {
+			for v, got := range LCC(g, e) {
+				if math.Float64bits(got) != math.Float64bits(want[v]) {
+					t.Fatalf("seed %d %v: LCC[%d] = %v, want %v", seed, e, v, got, want[v])
+				}
+			}
+		}
+	}
+}

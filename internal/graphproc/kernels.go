@@ -265,37 +265,26 @@ func CDLP(g *Graph, iterations int, e Engine) []int64 {
 // undirected view of the graph: triangles / possible wedges, in [0,1].
 func LCC(g *Graph, e Engine) []float64 {
 	n := g.n
-	// Build undirected neighbor sets once.
-	neighbors := make([]map[int32]bool, n)
+	// The undirected view in CSR form: each vertex's out- and in-neighbours
+	// merged into one sorted list, without duplicates or self-loops.
+	off := make([]int32, n+1)
+	adj := make([]int32, 0, len(g.edges)+len(g.inEdges))
 	for v := int32(0); int(v) < n; v++ {
-		set := make(map[int32]bool, g.OutDegree(v)+g.InDegree(v))
-		for _, u := range g.Out(v) {
-			if u != v {
-				set[u] = true
-			}
-		}
-		for _, u := range g.In(v) {
-			if u != v {
-				set[u] = true
-			}
-		}
-		neighbors[v] = set
+		adj = mergeNeighbors(adj, g.Out(v), g.In(v), v)
+		off[v+1] = int32(len(adj))
 	}
 	lcc := make([]float64, n)
 	compute := func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			set := neighbors[v]
-			d := len(set)
+			nv := adj[off[v]:off[v+1]]
+			d := len(nv)
 			if d < 2 {
 				continue
 			}
+			// Each neighbour u links to the neighbours of v it shares with v.
 			links := 0
-			for u := range set {
-				for w := range neighbors[u] {
-					if w != int32(v) && set[w] {
-						links++
-					}
-				}
+			for _, u := range nv {
+				links += countCommon(nv, adj[off[u]:off[u+1]])
 			}
 			lcc[v] = float64(links) / float64(d*(d-1))
 		}
@@ -306,6 +295,47 @@ func LCC(g *Graph, e Engine) []float64 {
 		compute(0, n)
 	}
 	return lcc
+}
+
+// mergeNeighbors appends the union of the sorted lists a and b to dst,
+// each vertex once and self left out.
+func mergeNeighbors(dst, a, b []int32, self int32) []int32 {
+	start := len(dst)
+	add := func(u int32) {
+		if u != self && (len(dst) == start || dst[len(dst)-1] != u) {
+			dst = append(dst, u)
+		}
+	}
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		if j == len(b) || (i < len(a) && a[i] <= b[j]) {
+			add(a[i])
+			i++
+		} else {
+			add(b[j])
+			j++
+		}
+	}
+	return dst
+}
+
+// countCommon returns the size of the intersection of two sorted lists
+// without duplicates.
+func countCommon(a, b []int32) int {
+	c, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			c++
+			i++
+			j++
+		}
+	}
+	return c
 }
 
 // SSSP returns single-source shortest-path distances over edge weights
