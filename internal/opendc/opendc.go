@@ -115,9 +115,9 @@ type engine struct {
 
 	machines []*dcmodel.Machine
 
-	// pending is the queue a scheduling pass walks; the pass writes the
-	// tasks it leaves queued into spare and swaps the two.
-	pending, spare []*sched.QueuedTask
+	// pending is the queue; a scheduling pass compacts the tasks it
+	// leaves queued to its front, in place.
+	pending []*sched.QueuedTask
 
 	// Per-task state is kept in columns indexed by the task's position in
 	// the workload: job j's tasks sit at positions jobStart[j] up to
@@ -169,6 +169,10 @@ type engine struct {
 	machineGen uint64
 	powerGen   uint64
 	watts      []float64
+	// freeOf is each machine's free cores as of its last touch, and
+	// freeCores their sum: no task fits while its demand exceeds it.
+	freeOf    []int
+	freeCores int
 
 	energyJoules float64
 	lastPowerAt  time.Duration
@@ -250,6 +254,7 @@ func RunOn(k *sim.Kernel, sc *Scenario) (*Result, error) {
 		maxRetries: maxRetries,
 		free:       make([]int, len(sc.Cluster.Machines)),
 		watts:      make([]float64, len(sc.Cluster.Machines)),
+		freeOf:     make([]int, len(sc.Cluster.Machines)),
 	}
 	e.index(sc.Workload.Jobs)
 	// Touching every machine fills watts and moves the generation off the
@@ -392,7 +397,6 @@ func (e *engine) index(jobs []workload.Job) {
 	// The queue never outgrows the tasks, and the running set never
 	// outgrows the cores either, since every task takes at least one.
 	e.pending = make([]*sched.QueuedTask, 0, n)
-	e.spare = make([]*sched.QueuedTask, 0, n)
 	e.byDone = make([]release, 0, min(n, e.scenario.Cluster.TotalCores()))
 	type edge struct{ from, to int32 } // to waits on from
 	var edges []edge
@@ -524,43 +528,51 @@ func (e *engine) schedule(now sim.Time) {
 	e.cfg.Queue.Order(e.pending, now)
 
 	var reservation sim.Time // EASY shadow time; 0 = none
-	leftover := e.spare[:0]
-	for i, qt := range e.pending {
-		m := e.cfg.Placement.Select(e.machines, qt)
+	// The tasks left queued are compacted to the front of pending: kept
+	// counts them, and never passes the task being looked at.
+	pending := e.pending
+	kept := 0
+	keep := func(qt *sched.QueuedTask) {
+		pending[kept] = qt
+		kept++
+	}
+	for i, qt := range pending {
+		// A placement policy returns nil when no machine fits, which is
+		// certain when the demand exceeds every free core put together.
+		var m *dcmodel.Machine
+		if qt.Task.Cores <= e.freeCores {
+			m = e.cfg.Placement.Select(e.machines, qt)
+		}
 		if m != nil {
 			// EASY: a backfilled task must not delay the reservation unless
 			// it finishes before the shadow time.
 			if reservation > 0 {
 				finish := now + e.execTime(qt.Task, m)
 				if finish > reservation {
-					leftover = append(leftover, qt)
+					keep(qt)
 					continue
 				}
 			}
 			if !e.start(qt, m, now) {
-				leftover = append(leftover, qt)
+				keep(qt)
 			}
 			continue
 		}
-		// Head of queue does not fit.
-		switch e.cfg.Mode {
-		case sched.Strict:
-			leftover = append(leftover, e.pending[i:]...)
-			e.pending, e.spare = leftover, e.pending[:0]
-			e.wakeMachines(len(leftover), now)
-			return
-		case sched.EASY:
-			leftover = append(leftover, qt)
-			if reservation == 0 {
-				reservation = e.reservationTime(qt)
-			}
-		case sched.Greedy:
-			leftover = append(leftover, qt)
+		// The task does not fit. Under Strict it blocks the queue, and
+		// with no free core left nothing behind it can start in any mode:
+		// either way the rest of the queue stays as it is.
+		if e.cfg.Mode == sched.Strict || e.freeCores == 0 {
+			kept += copy(pending[kept:], pending[i:])
+			break
+		}
+		keep(qt)
+		if e.cfg.Mode == sched.EASY && reservation == 0 {
+			reservation = e.reservationTime(qt)
 		}
 	}
-	e.pending, e.spare = leftover, e.pending[:0]
-	if len(leftover) > 0 {
-		e.wakeMachines(len(leftover), now)
+	e.pending = pending[:kept]
+	if kept > 0 {
+		e.wakeMachines(kept, now)
 	}
 }
 
@@ -760,9 +772,14 @@ func (e *engine) accrueEnergy(now sim.Time) {
 }
 
 // touch records a state change of machine i, made just before: it
-// refreshes the machine's power draw and moves the machine generation.
+// refreshes the machine's power draw and free cores and moves the machine
+// generation.
 func (e *engine) touch(i int) {
-	e.watts[i] = e.machines[i].PowerWatts()
+	m := e.machines[i]
+	e.watts[i] = m.PowerWatts()
+	free := m.FreeCores()
+	e.freeCores += free - e.freeOf[i]
+	e.freeOf[i] = free
 	e.machineGen++
 }
 

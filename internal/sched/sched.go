@@ -56,18 +56,27 @@ type FCFS struct{}
 
 // Order implements QueuePolicy.
 func (FCFS) Order(pending []*QueuedTask, _ time.Duration) {
-	slices.SortStableFunc(pending, func(a, b *QueuedTask) int { return cmp.Compare(a.Ready, b.Ready) })
+	sortStable(pending, func(a, b *QueuedTask) int { return cmp.Compare(a.Ready, b.Ready) })
 }
 
 // Name implements QueuePolicy.
 func (FCFS) Name() string { return "fcfs" }
+
+// sortStable sorts pending stably by cmp. A queue is often still in order
+// from the last pass plus tasks appended at a later instant, and a stable
+// sort leaves a sorted slice as it is, so the check alone decides.
+func sortStable(pending []*QueuedTask, cmp func(a, b *QueuedTask) int) {
+	if !slices.IsSortedFunc(pending, cmp) {
+		slices.SortStableFunc(pending, cmp)
+	}
+}
 
 // SJF orders tasks by reference runtime, shortest first.
 type SJF struct{}
 
 // Order implements QueuePolicy.
 func (SJF) Order(pending []*QueuedTask, _ time.Duration) {
-	slices.SortStableFunc(pending, func(a, b *QueuedTask) int { return cmp.Compare(a.Task.Runtime, b.Task.Runtime) })
+	sortStable(pending, func(a, b *QueuedTask) int { return cmp.Compare(a.Task.Runtime, b.Task.Runtime) })
 }
 
 // Name implements QueuePolicy.
@@ -78,7 +87,7 @@ type LJF struct{}
 
 // Order implements QueuePolicy.
 func (LJF) Order(pending []*QueuedTask, _ time.Duration) {
-	slices.SortStableFunc(pending, func(a, b *QueuedTask) int { return cmp.Compare(b.Task.Runtime, a.Task.Runtime) })
+	sortStable(pending, func(a, b *QueuedTask) int { return cmp.Compare(b.Task.Runtime, a.Task.Runtime) })
 }
 
 // Name implements QueuePolicy.
@@ -97,7 +106,7 @@ func (WFP3) Order(pending []*QueuedTask, now time.Duration) {
 		w := wait / rt
 		return w * w * w * float64(t.Task.Cores)
 	}
-	slices.SortStableFunc(pending, func(a, b *QueuedTask) int {
+	sortStable(pending, func(a, b *QueuedTask) int {
 		sa, sb := score(a), score(b)
 		switch {
 		case sa > sb:
@@ -131,7 +140,7 @@ func (f *FairShare) Charge(user string, coreSeconds float64) {
 
 // Order implements QueuePolicy.
 func (f *FairShare) Order(pending []*QueuedTask, _ time.Duration) {
-	slices.SortStableFunc(pending, func(a, b *QueuedTask) int {
+	sortStable(pending, func(a, b *QueuedTask) int {
 		ua, ub := f.usage[a.User], f.usage[b.User]
 		switch {
 		case ua < ub:
