@@ -23,6 +23,10 @@
 // address the coordinator (and any scrape config) points at, so they can
 // be firewalled separately or left unbound in production.
 //
+// SIGTERM or SIGINT stops the daemon gracefully: both listeners close at
+// once, and work units in flight get a grace period to finish streaming
+// before their connections are cut.
+//
 // The daemon executes cells sequentially per request (the coordinator
 // keeps one unit in flight per worker); run one daemon per core — or
 // several behind one load balancer — to scale a host. It is the toolkit's
@@ -33,6 +37,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -40,6 +46,8 @@ import (
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux for -debug-addr
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"mcs/internal/dist"
@@ -58,13 +66,16 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stderr); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	err := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "mcsweepd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, status io.Writer) error {
+func run(ctx context.Context, args []string, status io.Writer) error {
 	fs := flag.NewFlagSet("mcsweepd", flag.ContinueOnError)
 	listen := fs.String("listen", ":9137", "address to serve the worker protocol on")
 	debugAddr := fs.String("debug-addr", "", "optional address for the pprof/expvar debug surface (off by default)")
@@ -78,27 +89,59 @@ func run(args []string, status io.Writer) error {
 	var debugLn net.Listener
 	if *debugAddr != "" {
 		if debugLn, err = net.Listen("tcp", *debugAddr); err != nil {
+			ln.Close()
 			return err
 		}
 	}
-	return serve(ln, debugLn, status)
+	return serve(ctx, ln, debugLn, status)
 }
 
+// shutdownGrace bounds how long a stopping daemon waits for the work units
+// in flight to finish before it closes their connections; the coordinator
+// re-dispatches the cells it did not receive.
+const shutdownGrace = 20 * time.Second
+
 // serve runs the worker protocol on an already-bound listener (split from
-// run so tests can bind port 0 and learn the address). A non-nil debugLn
-// additionally serves the pprof/expvar surface on DefaultServeMux.
-func serve(ln, debugLn net.Listener, status io.Writer) error {
+// run so tests can bind port 0 and learn the address) until ctx is done,
+// then shuts down gracefully and returns nil, or an error if the grace
+// period ran out. A non-nil debugLn additionally serves the pprof/expvar
+// surface on DefaultServeMux.
+func serve(ctx context.Context, ln, debugLn net.Listener, status io.Writer) error {
 	srv := dist.NewServer()
+	protocol := newHTTPServer(srv.Handler())
+	servers := []*http.Server{protocol}
+	failed := make(chan error, 1)
+	go func() { failed <- protocol.Serve(ln) }()
 	if debugLn != nil {
 		// Republish the daemon's metrics into the process-global expvar
 		// table so /debug/vars carries them alongside memstats; the blank
 		// net/http/pprof import already hung /debug/pprof on the mux.
 		srv.Registry().PublishExpvar()
 		fmt.Fprintf(status, "mcsweepd: debug surface (pprof, expvar) on http://%s/debug/pprof/\n", debugLn.Addr())
-		go newHTTPServer(nil).Serve(debugLn)
+		debug := newHTTPServer(nil)
+		servers = append(servers, debug)
+		go debug.Serve(debugLn)
 	}
 	fmt.Fprintf(status, "mcsweepd: serving %d scenario kinds on %s\n", len(scenario.List()), ln.Addr())
-	return newHTTPServer(srv.Handler()).Serve(ln)
+	select {
+	case err := <-failed:
+		for _, s := range servers[1:] {
+			s.Close()
+		}
+		return err
+	case <-ctx.Done():
+	}
+	fmt.Fprintf(status, "mcsweepd: shutting down (grace %v)\n", shutdownGrace)
+	grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	var errs []error
+	for _, s := range servers {
+		if err := s.Shutdown(grace); err != nil {
+			s.Close()
+			errs = append(errs, fmt.Errorf("shutdown: %w", err))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // readHeaderTimeout bounds how long a client may take to send its request

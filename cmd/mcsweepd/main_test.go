@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"mcs/internal/dist"
 	"mcs/internal/scenario"
@@ -23,7 +24,7 @@ func TestDaemonServesWorkerProtocol(t *testing.T) {
 	}
 	defer ln.Close()
 	var status strings.Builder
-	go serve(ln, nil, &status)
+	go serve(t.Context(), ln, nil, &status)
 
 	doc := `{
 	  "kind": "sweep", "seed": 3,
@@ -59,14 +60,50 @@ func TestDaemonServesWorkerProtocol(t *testing.T) {
 	}
 }
 
+// TestServeShutsDownOnCancel: canceling serve's context (what SIGTERM and
+// SIGINT do) closes the listener and makes serve return nil.
+func TestServeShutsDownOnCancel(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	var status strings.Builder
+	go func() { done <- serve(ctx, ln, nil, &status) }()
+	base := "http://" + ln.Addr().String()
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("serve after cancel: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("serve still running 10s after cancel")
+	}
+	if !strings.Contains(status.String(), "shutting down") {
+		t.Errorf("status does not report the shutdown:\n%s", status.String())
+	}
+	if _, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
+		t.Error("listener still accepts after shutdown")
+	}
+}
+
 func TestRunRejectsBadAddress(t *testing.T) {
-	if err := run([]string{"-listen", "256.0.0.1:bad"}, io.Discard); err == nil {
+	if err := run(context.Background(), []string{"-listen", "256.0.0.1:bad"}, io.Discard); err == nil {
 		t.Error("bad listen address accepted")
 	}
 }
 
 func TestRunRejectsBadDebugAddress(t *testing.T) {
-	if err := run([]string{"-listen", "127.0.0.1:0", "-debug-addr", "256.0.0.1:bad"}, io.Discard); err == nil {
+	if err := run(context.Background(), []string{"-listen", "127.0.0.1:0", "-debug-addr", "256.0.0.1:bad"}, io.Discard); err == nil {
 		t.Error("bad debug address accepted")
 	}
 }
@@ -86,7 +123,7 @@ func TestDebugSurfaceServesPprofAndExpvar(t *testing.T) {
 	}
 	defer debugLn.Close()
 	var status strings.Builder
-	go serve(ln, debugLn, &status)
+	go serve(t.Context(), ln, debugLn, &status)
 
 	for path, want := range map[string]string{
 		"/debug/pprof/": "profiles",
@@ -138,7 +175,7 @@ func TestOversizedWorkUnitRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	go serve(ln, nil, io.Discard)
+	go serve(t.Context(), ln, nil, io.Discard)
 	base := "http://" + ln.Addr().String()
 
 	body := io.MultiReader(io.LimitReader(spaces{}, 32<<20), strings.NewReader(` {"id": 1, "cells": []}`))

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mcs/internal/faas"
+	"mcs/internal/sim"
 	"mcs/internal/stats"
 )
 
@@ -38,8 +39,8 @@ func run() error {
 
 	fmt.Println("keep-warm  workflows  mean-makespan  cold-starts  instance-s")
 	for _, keepWarm := range []int{0, 1, 2} {
-		platform, err := faas.NewPlatform(faas.Config{
-			Seed:        11,
+		k := sim.New(11)
+		platform, err := faas.NewPlatformOn(k, faas.Config{
 			IdleTimeout: 2 * time.Minute,
 			KeepWarm:    keepWarm,
 		}, functions)
@@ -64,6 +65,9 @@ func run() error {
 			}
 		}
 		res := platform.Drain()
+		if err := k.Err(); err != nil {
+			return err
+		}
 		fmt.Printf("%9d  %9d  %13s  %11d  %10.0f\n",
 			keepWarm, count,
 			time.Duration(stats.Mean(makespans)*float64(time.Second)).Round(time.Millisecond),

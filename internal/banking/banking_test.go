@@ -2,6 +2,7 @@ package banking
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -95,24 +96,24 @@ func TestRunClearingValidation(t *testing.T) {
 }
 
 // TestRunClearingFailsOnExhaustedBudget: a run that hits the event budget
-// before every transaction settles returns an error naming the events
-// fired and transactions settled, never a partial report.
+// before every transaction settles leaves sim.ErrBudget on its kernel, so
+// the code that owns the kernel reports no partial result; a budget that
+// covers the stream leaves none.
 func TestRunClearingFailsOnExhaustedBudget(t *testing.T) {
-	defer func(b uint64) { clearingEventBudget = b }(clearingEventBudget)
-	clearingEventBudget = 1000
 	txs := GenerateTransactions(2000, 0.5, 11)
-	res, err := RunClearingOn(sim.New(11), DefaultPipeline(), txs, EDF)
-	if err == nil {
-		t.Fatalf("truncated run returned a report: %+v", res)
+	k := sim.New(11)
+	k.SetMaxEvents(1000)
+	res, err := RunClearingOn(k, DefaultPipeline(), txs, EDF)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{"after 1000 events", "of 2000 transactions settled"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not name %q", err, want)
-		}
+	if !errors.Is(k.Err(), sim.ErrBudget) || res.Completed == len(txs) {
+		t.Fatalf("truncated run: kernel error %v, %d of %d transactions settled", k.Err(), res.Completed, len(txs))
 	}
-	clearingEventBudget = 1_000_000
-	if res, err := RunClearingOn(sim.New(11), DefaultPipeline(), txs, EDF); err != nil || res.Completed != len(txs) {
-		t.Fatalf("run within budget: %v %+v", err, res)
+	k = sim.New(11)
+	k.SetMaxEvents(1_000_000)
+	if res, err := RunClearingOn(k, DefaultPipeline(), txs, EDF); err != nil || k.Err() != nil || res.Completed != len(txs) {
+		t.Fatalf("run within budget: %v %v %+v", err, k.Err(), res)
 	}
 }
 
@@ -142,10 +143,10 @@ func TestCheckClearingSizeBounds(t *testing.T) {
 			t.Errorf("n=%d budget=%d: error %v, want one naming %q", tc.n, tc.budget, err, tc.want)
 		}
 	}
-	// RunClearingOn applies the bound before it schedules anything.
-	defer func(b uint64) { clearingEventBudget = b }(clearingEventBudget)
-	clearingEventBudget = math.MaxUint32
+	// RunClearingOn applies the bound, under its kernel's budget, before
+	// it schedules anything.
 	k := sim.New(1)
+	k.SetMaxEvents(math.MaxUint32)
 	if res, err := RunClearingOn(k, DefaultPipeline(), GenerateTransactions(1, 0.5, 1), EDF); err == nil || !strings.Contains(err.Error(), "overflow") {
 		t.Fatalf("run past the bound: %v %+v", err, res)
 	}
@@ -160,9 +161,8 @@ func TestCheckClearingSizeBounds(t *testing.T) {
 // synthesis or a run, whether it is synthesized or loaded from a trace;
 // one at the bound is accepted.
 func TestConfigureRejectsStreamsOverBudget(t *testing.T) {
-	defer func(b uint64) { clearingEventBudget = b }(clearingEventBudget)
-	clearingEventBudget = 5000
-	limit := int(clearingEventBudget) / (1 + len(DefaultPipeline()))
+	const budget = 5000
+	limit := budget / (1 + len(DefaultPipeline()))
 	dir := t.TempDir()
 	for _, n := range []int{limit, limit + 1} {
 		synthetic := fmt.Sprintf(`{"kind": "banking", "seed": 4, "transactions": %d}`, n)
@@ -173,7 +173,7 @@ func TestConfigureRejectsStreamsOverBudget(t *testing.T) {
 		replay := fmt.Sprintf(`{"kind": "banking", "seed": 4, "workload": {"trace": %q}}`, path)
 		for name, doc := range map[string]string{"synthetic": synthetic, "trace": replay} {
 			b := &bankingScenario{}
-			err := b.Configure(json.RawMessage(doc))
+			err := b.configure(json.RawMessage(doc), budget)
 			switch {
 			case n <= limit && err != nil:
 				t.Errorf("%s stream of %d (bound %d) refused: %v", name, n, limit, err)
@@ -183,6 +183,11 @@ func TestConfigureRejectsStreamsOverBudget(t *testing.T) {
 				t.Errorf("%s stream of %d refused after it was materialized", name, n)
 			}
 		}
+	}
+	// Configure bounds a stream by the kernel's budget, sim.EventBudget.
+	over := fmt.Sprintf(`{"kind": "banking", "transactions": %d}`, sim.EventBudget/(1+len(DefaultPipeline()))+1)
+	if err := (&bankingScenario{}).Configure(json.RawMessage(over)); err == nil || !strings.Contains(err.Error(), "event budget") {
+		t.Errorf("stream over sim.EventBudget: error %v, want an event-budget refusal", err)
 	}
 }
 

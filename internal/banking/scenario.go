@@ -79,15 +79,13 @@ func (b *bankingScenario) SourceWorkload() (*workload.Workload, error) {
 	return b.w, nil
 }
 
-// maxTransactions is the largest stream a clearing run can settle within
-// clearingEventBudget: every transaction fires at least its arrival and
-// one completion per stage, so a longer one must exhaust the budget.
-func maxTransactions() int {
-	return int(clearingEventBudget / uint64(1+len(DefaultPipeline())))
-}
-
 // Configure implements scenario.Scenario.
 func (b *bankingScenario) Configure(raw json.RawMessage) error {
+	return b.configure(raw, sim.EventBudget)
+}
+
+// configure is Configure for a run under an event budget of budget.
+func (b *bankingScenario) configure(raw json.RawMessage, budget uint64) error {
 	var cfg ScenarioJSON
 	if err := json.Unmarshal(raw, &cfg); err != nil {
 		return err
@@ -112,7 +110,10 @@ func (b *bankingScenario) Configure(raw json.RawMessage) error {
 	default:
 		return fmt.Errorf("banking scenario: unknown discipline %q", cfg.Discipline)
 	}
-	limit := maxTransactions()
+	// The largest stream a run can settle within the budget: every
+	// transaction fires at least its arrival and one completion per
+	// stage, so a longer one must exhaust it.
+	limit := int(budget / uint64(1+len(DefaultPipeline())))
 	if cfg.Workload.Trace == "" {
 		if cfg.Transactions > limit {
 			return fmt.Errorf("banking scenario: %d transactions cannot settle within the event budget (at most %d)", cfg.Transactions, limit)

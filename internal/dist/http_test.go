@@ -6,6 +6,8 @@ package dist_test
 // endpoint.
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -73,6 +75,63 @@ func TestHandlerRejectsBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad body = %d, want 400", resp.StatusCode)
 	}
+}
+
+// FuzzWorkUnit posts arbitrary bodies to the daemon's /run: the handler
+// answers 400 when the body is no work unit, and otherwise 200 with an
+// NDJSON stream of cell results; it never panics. Each request's context
+// is canceled before it is served, so the handler decodes the unit and
+// answers but runs no cell: an arbitrary body can name a scenario of any
+// size, and running documents is what the golden corpus and FuzzDocument
+// cover.
+func FuzzWorkUnit(f *testing.F) {
+	_, _, cells, err := expandDoc(sweepDoc)
+	if err != nil {
+		f.Fatal(err)
+	}
+	specs := dist.Specs(cells)
+	for _, unit := range []dist.WorkUnit{{ID: 3, Cells: specs}, {ID: 0, Cells: specs[:1]}, {}} {
+		body, err := json.Marshal(unit)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, body := range []string{"not json", "", `{"cells": [{"index": "x"}]}`, `{"cells": null} trailing`, `[]`} {
+		f.Add([]byte(body))
+	}
+	handler := dist.NewServer().Handler()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req := httptest.NewRequestWithContext(canceled, http.MethodPost, "/run", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+		var unit dist.WorkUnit
+		decodeErr := json.NewDecoder(bytes.NewReader(body)).Decode(&unit)
+		switch rec.Code {
+		case http.StatusBadRequest:
+			if decodeErr == nil {
+				t.Fatalf("a decodable work unit was refused: %s", rec.Body)
+			}
+		case http.StatusOK:
+			if decodeErr != nil {
+				t.Fatalf("an undecodable body was accepted (%v)", decodeErr)
+			}
+			if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" {
+				t.Fatalf("stream content type %q", ct)
+			}
+			sc := bufio.NewScanner(rec.Body)
+			for sc.Scan() {
+				var res dist.CellResult
+				if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
+					t.Fatalf("stream line %q: %v", sc.Bytes(), err)
+				}
+			}
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	})
 }
 
 func TestHandlerHealthz(t *testing.T) {

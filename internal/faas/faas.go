@@ -45,7 +45,6 @@ type Config struct {
 	// KeepWarm instances per function are never reaped (the provider-side
 	// mitigation of cold starts; the F5 ablation sweeps this).
 	KeepWarm int
-	Seed     int64
 }
 
 // Invocation is one function-call request.
@@ -93,7 +92,7 @@ type Result struct {
 	LayerEvents map[string]uint64
 }
 
-// Platform is the simulated FaaS provider. Create one with NewPlatform,
+// Platform is the simulated FaaS provider. Create one with NewPlatformOn,
 // submit invocations and workflows, then Run the kernel via Drain.
 type Platform struct {
 	k   *sim.Kernel
@@ -160,14 +159,10 @@ const (
 // ErrUnknownFunction is returned when invoking an undeclared function.
 var ErrUnknownFunction = errors.New("faas: unknown function")
 
-// NewPlatform creates a platform hosting the given functions.
-func NewPlatform(cfg Config, functions []Function) (*Platform, error) {
-	return NewPlatformOn(sim.New(cfg.Seed), cfg, functions)
-}
-
-// NewPlatformOn creates a platform on a caller-provided kernel — the entry
-// point used by the scenario registry, where the runner owns the kernel.
-// The config's Seed field is ignored; the kernel's seed governs.
+// NewPlatformOn creates a platform hosting the given functions on a
+// caller-provided kernel, whose seed governs the platform's randomness.
+// The caller owns the kernel and checks its Err after Drain: a run cut
+// short by the event budget drains only part of its calls.
 func NewPlatformOn(k *sim.Kernel, cfg Config, functions []Function) (*Platform, error) {
 	if cfg.MaxInstances <= 0 {
 		cfg.MaxInstances = 64
@@ -445,7 +440,6 @@ func (p *Platform) drainQueues(now sim.Time) {
 
 // Drain runs the simulation until quiescence and returns the result.
 func (p *Platform) Drain() *Result {
-	p.k.SetMaxEvents(20_000_000)
 	p.k.Run()
 	now := p.k.Now()
 	// Bill instances still alive at the end, in name order: summing in map

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mcs/internal/failure"
+	"mcs/internal/sim"
 	"mcs/internal/stats"
 )
 
@@ -17,18 +18,18 @@ func testFunctions() []Function {
 }
 
 func TestNewPlatformValidation(t *testing.T) {
-	if _, err := NewPlatform(Config{}, []Function{{Name: "f"}}); err == nil {
+	if _, err := NewPlatformOn(sim.New(0), Config{}, []Function{{Name: "f"}}); err == nil {
 		t.Error("function without exec distribution accepted")
 	}
 	fns := testFunctions()
 	fns = append(fns, fns[0])
-	if _, err := NewPlatform(Config{}, fns); err == nil {
+	if _, err := NewPlatformOn(sim.New(0), Config{}, fns); err == nil {
 		t.Error("duplicate function accepted")
 	}
 }
 
 func TestFirstInvocationIsCold(t *testing.T) {
-	p, err := NewPlatform(Config{Seed: 1}, testFunctions())
+	p, err := NewPlatformOn(sim.New(1), Config{}, testFunctions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestFirstInvocationIsCold(t *testing.T) {
 }
 
 func TestWarmReuseAvoidsColdStart(t *testing.T) {
-	p, err := NewPlatform(Config{Seed: 1, IdleTimeout: time.Minute}, testFunctions())
+	p, err := NewPlatformOn(sim.New(1), Config{IdleTimeout: time.Minute}, testFunctions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestWarmReuseAvoidsColdStart(t *testing.T) {
 }
 
 func TestIdleTimeoutCausesRecold(t *testing.T) {
-	p, err := NewPlatform(Config{Seed: 1, IdleTimeout: 5 * time.Second}, testFunctions())
+	p, err := NewPlatformOn(sim.New(1), Config{IdleTimeout: 5 * time.Second}, testFunctions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestIdleTimeoutCausesRecold(t *testing.T) {
 }
 
 func TestKeepWarmPreventsRecold(t *testing.T) {
-	p, err := NewPlatform(Config{Seed: 1, IdleTimeout: 5 * time.Second, KeepWarm: 1}, testFunctions())
+	p, err := NewPlatformOn(sim.New(1), Config{IdleTimeout: 5 * time.Second, KeepWarm: 1}, testFunctions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestKeepWarmPreventsRecold(t *testing.T) {
 }
 
 func TestIsolationLimitQueues(t *testing.T) {
-	p, err := NewPlatform(Config{Seed: 1, MaxInstances: 1}, []Function{
+	p, err := NewPlatformOn(sim.New(1), Config{MaxInstances: 1}, []Function{
 		{Name: "slow", Exec: stats.Deterministic{Value: 10}, ColdStart: 0},
 	})
 	if err != nil {
@@ -127,7 +128,7 @@ func TestIsolationLimitQueues(t *testing.T) {
 }
 
 func TestUnknownFunctionRejected(t *testing.T) {
-	p, err := NewPlatform(Config{}, testFunctions())
+	p, err := NewPlatformOn(sim.New(0), Config{}, testFunctions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestUnknownFunctionRejected(t *testing.T) {
 }
 
 func TestWorkflowSequencing(t *testing.T) {
-	p, err := NewPlatform(Config{Seed: 1}, testFunctions())
+	p, err := NewPlatformOn(sim.New(1), Config{}, testFunctions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestWorkflowSequencing(t *testing.T) {
 }
 
 func TestWorkflowValidation(t *testing.T) {
-	p, err := NewPlatform(Config{}, testFunctions())
+	p, err := NewPlatformOn(sim.New(0), Config{}, testFunctions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +198,7 @@ func TestWorkflowValidation(t *testing.T) {
 // and a keep-warm pool trades instance-seconds for latency.
 func TestKeepWarmLatencyCostTradeoff(t *testing.T) {
 	run := func(keepWarm int) *Result {
-		p, err := NewPlatform(Config{
-			Seed:        7,
+		p, err := NewPlatformOn(sim.New(7), Config{
 			IdleTimeout: 30 * time.Second,
 			KeepWarm:    keepWarm,
 		}, []Function{
@@ -225,7 +225,7 @@ func TestKeepWarmLatencyCostTradeoff(t *testing.T) {
 }
 
 func TestLayerEventsCoverAllFigure5Layers(t *testing.T) {
-	p, err := NewPlatform(Config{Seed: 1}, testFunctions())
+	p, err := NewPlatformOn(sim.New(1), Config{}, testFunctions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestLayerEventsCoverAllFigure5Layers(t *testing.T) {
 
 func BenchmarkPlatform10kInvocations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		p, err := NewPlatform(Config{Seed: 1}, []Function{
+		p, err := NewPlatformOn(sim.New(1), Config{}, []Function{
 			{Name: "f", Exec: stats.Exponential{Rate: 5}, ColdStart: time.Second},
 		})
 		if err != nil {
@@ -257,7 +257,7 @@ func TestFailureEvictsIdleInstanceAndGatesColdStarts(t *testing.T) {
 	// One host slot. The warm instance left by the first call is evicted when
 	// the slot fails; a call arriving during the outage queues until repair
 	// restores capacity, then pays a fresh cold start.
-	p, err := NewPlatform(Config{Seed: 1, IdleTimeout: time.Hour}, testFunctions())
+	p, err := NewPlatformOn(sim.New(1), Config{IdleTimeout: time.Hour}, testFunctions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestFailureEvictsIdleInstanceAndGatesColdStarts(t *testing.T) {
 func TestFailureKillsInflightExecutionAndRedispatches(t *testing.T) {
 	// The slot fails mid-execution: the run is aborted, the call re-enters
 	// dispatch, waits out the outage, and completes after a second cold start.
-	p, err := NewPlatform(Config{Seed: 1, IdleTimeout: time.Hour}, testFunctions())
+	p, err := NewPlatformOn(sim.New(1), Config{IdleTimeout: time.Hour}, testFunctions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestFailureKillsInflightExecutionAndRedispatches(t *testing.T) {
 
 func TestFailureFreePlatformIgnoresSlots(t *testing.T) {
 	// InjectFailures with no slots is a no-op: the fast path stays in force.
-	p, err := NewPlatform(Config{Seed: 1}, testFunctions())
+	p, err := NewPlatformOn(sim.New(1), Config{}, testFunctions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,15 +93,25 @@ func (r *WorldResult) Interactions() *social.InteractionGraph {
 	return r.interactions
 }
 
-// RunWorld simulates the virtual world and returns its result.
+// RunWorld simulates the virtual world and returns its result. A run cut
+// short by the kernel's event budget fails with sim.ErrBudget.
 func RunWorld(cfg WorldConfig) (*WorldResult, error) {
-	return RunWorldOn(sim.New(cfg.Seed), cfg)
+	k := sim.New(cfg.Seed)
+	res, err := RunWorldOn(k, cfg)
+	if err == nil {
+		err = k.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // RunWorldOn simulates the virtual world on a caller-provided kernel — the
 // entry point used by the scenario registry, where the runner owns the
 // kernel. The kernel's seed governs the world dynamics (zone choices,
 // movement); cfg.Seed only seeds session synthesis when cfg.Workload is nil.
+// The caller checks the kernel's Err.
 func RunWorldOn(k *sim.Kernel, cfg WorldConfig) (*WorldResult, error) {
 	if cfg.Zones <= 0 || cfg.ZoneCapacity <= 0 {
 		return nil, fmt.Errorf("gaming: zones=%d capacity=%d", cfg.Zones, cfg.ZoneCapacity)
@@ -346,7 +356,6 @@ func RunWorldOn(k *sim.Kernel, cfg WorldConfig) (*WorldResult, error) {
 	if err := k.ScheduleStream(at, arrive); err != nil {
 		return nil, err
 	}
-	k.SetMaxEvents(20_000_000)
 	k.RunUntil(sim.Time(cfg.Horizon))
 	monitor.Stop()
 

@@ -209,13 +209,22 @@ var (
 
 // Run executes the scenario and returns its result. The cluster is reset
 // before and left dirty after; callers reusing a cluster should Reset it.
+// A run cut short by the kernel's event budget fails with sim.ErrBudget.
 func Run(sc *Scenario) (*Result, error) {
-	return RunOn(sim.New(sc.Seed), sc)
+	k := sim.New(sc.Seed)
+	res, err := RunOn(k, sc)
+	if err == nil {
+		err = k.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // RunOn executes the scenario on a caller-provided kernel — the entry point
 // used by the scenario registry, where the runner owns the kernel. The
-// kernel must be fresh (virtual time zero).
+// kernel must be fresh (virtual time zero); the caller checks its Err.
 func RunOn(k *sim.Kernel, sc *Scenario) (*Result, error) {
 	if sc.Cluster == nil || len(sc.Cluster.Machines) == 0 {
 		return nil, ErrNoCluster
@@ -363,7 +372,6 @@ func RunOn(k *sim.Kernel, sc *Scenario) (*Result, error) {
 		e.accrueEnergy(now)
 	})
 
-	e.k.SetMaxEvents(50_000_000)
 	e.k.RunUntil(e.horizon)
 	monitor.Stop()
 	if powerTicker != nil {

@@ -198,6 +198,9 @@ func RunScenarioObserved(s Scenario, seed int64, st *obs.KernelStats) (*Result, 
 	}
 	start := time.Now()
 	res, err := s.Run(k)
+	if err == nil {
+		err = k.Err()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: run: %w", kind, err)
 	}

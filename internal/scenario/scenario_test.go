@@ -108,6 +108,29 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// runawayScenario never drains: every event schedules the next, under a
+// budget of 100 events.
+type runawayScenario struct{ fakeScenario }
+
+func (r *runawayScenario) Run(k *sim.Kernel) (*Result, error) {
+	k.SetMaxEvents(100)
+	var spin func(sim.Time)
+	spin = func(sim.Time) { k.AfterFunc(1, spin) }
+	k.AfterFunc(0, spin)
+	k.Run()
+	return &Result{Metrics: map[string]float64{"x": 1}}, nil
+}
+
+// TestRunFailsOnEventBudget: a kind whose kernel stops on the event budget
+// fails through Run with sim.ErrBudget, and its result is not returned.
+func TestRunFailsOnEventBudget(t *testing.T) {
+	Register("test-runaway", func() Scenario { return &runawayScenario{} })
+	res, err := Run("test-runaway", 1, nil)
+	if !errors.Is(err, sim.ErrBudget) || res != nil {
+		t.Fatalf("runaway kind: result %v, error %v; want no result and sim.ErrBudget", res, err)
+	}
+}
+
 func TestParseEnvelopeDefaultsKind(t *testing.T) {
 	env, err := ParseCommon(json.RawMessage(`{"seed": 12, "machines": 4}`))
 	if err != nil {

@@ -79,6 +79,17 @@ func (e *Event) Canceled() bool { return e.canceled }
 // virtual time.
 var ErrPastEvent = errors.New("sim: event scheduled in the past")
 
+// ErrBudget is what Err wraps once Run or RunUntil stopped on the event
+// budget with work still due: the model was cut short, so a report on it
+// would be wrong.
+var ErrBudget = errors.New("sim: event budget exhausted")
+
+// EventBudget is the number of events a kernel fires before Run and
+// RunUntil stop. It bounds every run, so a runaway model fails (see Err)
+// instead of running forever; every shipped document and benchmark fires
+// well under it.
+const EventBudget = 20_000_000
+
 // immEvent is a zero-delay fire-and-forget event on the immediate ring. It
 // implicitly fires at the kernel's current time; seq keeps FIFO ordering
 // consistent with heap events at the same instant.
@@ -107,7 +118,8 @@ type Kernel struct {
 	seq       uint64
 	rng       *rand.Rand
 	processed uint64
-	maxEvents uint64 // safety valve; 0 means unlimited
+	maxEvents uint64 // the event budget; EventBudget unless a test sets it
+	err       error  // the budget stop, once Run or RunUntil hits one
 	free      *Event // recycled pooled events
 	// canceledQueued counts canceled handle events still occupying heap
 	// slots, so Pending can report live events without compacting.
@@ -147,8 +159,9 @@ func WithoutTimingWheel() Option {
 // for deterministic models.
 func New(seed int64, opts ...Option) *Kernel {
 	k := &Kernel{
-		rng:   rand.New(rand.NewSource(seed)),
-		wheel: &timingWheel{curTick: -1},
+		rng:       rand.New(rand.NewSource(seed)),
+		wheel:     &timingWheel{curTick: -1},
+		maxEvents: EventBudget,
 	}
 	for _, opt := range opts {
 		opt(k)
@@ -180,10 +193,26 @@ func (k *Kernel) Pending() int {
 	return n
 }
 
-// SetMaxEvents installs a safety limit on the total number of events the
-// kernel will execute; Run returns once the limit is reached. Zero disables
-// the limit.
+// SetMaxEvents replaces the kernel's event budget (EventBudget by
+// default) with n: Run and RunUntil stop once n events have fired in all.
+// It is for tests and benchmarks; models run under the default.
 func (k *Kernel) SetMaxEvents(n uint64) { k.maxEvents = n }
+
+// MaxEvents returns the kernel's event budget.
+func (k *Kernel) MaxEvents() uint64 { return k.maxEvents }
+
+// Err returns nil unless Run or RunUntil stopped on the event budget while
+// an event they would have fired was still scheduled; then it returns
+// ErrBudget, wrapped with the budget and the virtual time of the stop. The
+// code that creates a kernel checks Err before it reports on the run.
+func (k *Kernel) Err() error { return k.err }
+
+// budgetStop records that the budget cut the run short.
+func (k *Kernel) budgetStop() {
+	if k.err == nil {
+		k.err = fmt.Errorf("%w: %d events fired by t=%v", ErrBudget, k.maxEvents, k.now)
+	}
+}
 
 // Schedule arranges for fn to run after delay. A negative delay is an error.
 func (k *Kernel) Schedule(delay Time, fn Handler) (*Event, error) {
@@ -409,33 +438,37 @@ func (k *Kernel) noteDispatch(st *obs.KernelStats, src int) {
 	}
 }
 
-// Run executes events until the queue drains (or the safety limit trips) and
-// returns the number of events processed during this call.
+// Run executes events until the queue drains or the event budget is spent,
+// and returns the number of events processed during this call. A budget
+// stop with events still scheduled is recorded for Err.
 func (k *Kernel) Run() uint64 {
 	start := k.processed
-	for {
-		if k.maxEvents > 0 && k.processed >= k.maxEvents {
-			break
-		}
+	for k.processed < k.maxEvents {
 		if !k.Step() {
-			break
+			return k.processed - start
 		}
+	}
+	if k.Pending() > 0 {
+		k.budgetStop()
 	}
 	return k.processed - start
 }
 
 // RunUntil executes events with time ≤ horizon and then advances the clock to
 // horizon. Events scheduled after horizon remain queued. It returns the
-// number of events processed during this call.
+// number of events processed during this call. When the event budget runs
+// out before an event due by horizon fires, RunUntil records the stop for
+// Err and leaves the clock where the stop happened.
 func (k *Kernel) RunUntil(horizon Time) uint64 {
 	start := k.processed
 	for {
-		if k.maxEvents > 0 && k.processed >= k.maxEvents {
-			break
-		}
 		next, ok := k.peek()
 		if !ok || next > horizon {
 			break
+		}
+		if k.processed >= k.maxEvents {
+			k.budgetStop()
+			return k.processed - start
 		}
 		k.Step()
 	}

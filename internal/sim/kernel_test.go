@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -101,6 +103,9 @@ func TestKernelNestedScheduling(t *testing.T) {
 
 func TestKernelMaxEventsStopsRunawayModel(t *testing.T) {
 	k := New(1)
+	if k.MaxEvents() != EventBudget {
+		t.Fatalf("new kernel budget %d, want EventBudget", k.MaxEvents())
+	}
 	k.SetMaxEvents(100)
 	var self func(now Time)
 	self = func(Time) { k.MustSchedule(time.Millisecond, self) }
@@ -108,6 +113,54 @@ func TestKernelMaxEventsStopsRunawayModel(t *testing.T) {
 	k.Run()
 	if k.Processed() != 100 {
 		t.Fatalf("processed %d events, want 100", k.Processed())
+	}
+	if err := k.Err(); !errors.Is(err, ErrBudget) {
+		t.Fatalf("runaway model: Err() = %v, want ErrBudget", err)
+	}
+}
+
+// TestKernelBudgetDrainedExactlyIsNoError: a model whose last event is the
+// budget's last leaves nothing undone, so Run and RunUntil record no stop.
+func TestKernelBudgetDrainedExactlyIsNoError(t *testing.T) {
+	for _, until := range []bool{false, true} {
+		k := New(1)
+		k.SetMaxEvents(100)
+		n := 0
+		var step func(Time)
+		step = func(Time) {
+			if n++; n < 100 {
+				k.AfterFunc(time.Millisecond, step)
+			}
+		}
+		k.AfterFunc(0, step)
+		if until {
+			// An event past the horizon is not work the budget cut off.
+			k.MustSchedule(time.Hour, func(Time) {})
+			k.RunUntil(time.Minute)
+		} else {
+			k.Run()
+		}
+		if k.Processed() != 100 || k.Err() != nil {
+			t.Fatalf("until=%v: processed %d, Err() = %v; want 100 and nil", until, k.Processed(), k.Err())
+		}
+	}
+}
+
+// TestKernelRunUntilBudgetStopKeepsClock: RunUntil stopped by the budget
+// does not advance the clock to the horizon, and its error names the stop.
+func TestKernelRunUntilBudgetStopKeepsClock(t *testing.T) {
+	k := New(1)
+	k.SetMaxEvents(10)
+	var tick func(Time)
+	tick = func(Time) { k.AfterFunc(time.Second, tick) }
+	k.AfterFunc(time.Second, tick)
+	k.RunUntil(time.Hour)
+	if k.Now() != 10*time.Second {
+		t.Fatalf("clock at %v after the budget stop, want 10s", k.Now())
+	}
+	err := k.Err()
+	if !errors.Is(err, ErrBudget) || !strings.Contains(err.Error(), "10 events fired by t=10s") {
+		t.Fatalf("Err() = %v, want ErrBudget naming the budget and the clock", err)
 	}
 }
 

@@ -22,7 +22,8 @@ import "mcs/internal/par"
 // workers follows par.Workers: non-positive defaults to GOMAXPROCS, and 1
 // runs the shards inline in index order (the sequential behavior the pool
 // generalizes). The error surfaced is the lowest-index shard error; see
-// par.MapOrdered.
+// par.MapOrdered. A shard whose kernel stopped on the event budget fails
+// with its Err, so the run fails with it.
 //
 // Shard functions must not share mutable state (that is what makes them
 // shards); read-only structures such as a pre-generated graph are safe to
@@ -30,6 +31,11 @@ import "mcs/internal/par"
 // and ignore the provided one.
 func PartitionedRun[T any](shards, workers int, seed int64, fn func(shard int, k *Kernel) (T, error)) ([]T, error) {
 	return par.MapOrdered(shards, workers, func(i int) (T, error) {
-		return fn(i, New(seed+int64(i)))
+		k := New(seed + int64(i))
+		out, err := fn(i, k)
+		if err == nil {
+			err = k.Err()
+		}
+		return out, err
 	})
 }

@@ -72,3 +72,21 @@ func TestPartitionedRunSurfacesLowestIndexError(t *testing.T) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 }
+
+// TestPartitionedRunFailsOnShardBudget: a shard whose kernel stops on the
+// event budget fails the whole run, although its function returned nil.
+func TestPartitionedRunFailsOnShardBudget(t *testing.T) {
+	_, err := PartitionedRun(3, 2, 1, func(shard int, k *Kernel) (int, error) {
+		if shard == 1 {
+			k.SetMaxEvents(50)
+			var spin func(Time)
+			spin = func(Time) { k.AfterFunc(time.Millisecond, spin) }
+			k.AfterFunc(0, spin)
+		}
+		k.Run()
+		return shard, nil
+	})
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+}

@@ -7,8 +7,10 @@
 package workload
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -61,155 +63,121 @@ func (j *Job) TotalWork() time.Duration {
 	return total
 }
 
-// MaxParallelism returns the maximum number of tasks that can run
-// concurrently, i.e. the maximum width over the levels of the dependency DAG.
-// For bags-of-tasks this is the task count.
-func (j *Job) MaxParallelism() int {
-	levels := j.Levels()
-	maxW := 0
-	for _, level := range levels {
-		if len(level) > maxW {
-			maxW = len(level)
-		}
-	}
-	return maxW
-}
-
-// Levels performs a topological leveling of the job's DAG: level 0 holds
-// tasks without dependencies, level k tasks whose longest dependency chain
-// has length k. It returns nil for cyclic (invalid) jobs.
-func (j *Job) Levels() [][]TaskID {
-	byID := make(map[TaskID]*Task, len(j.Tasks))
-	for i := range j.Tasks {
-		byID[j.Tasks[i].ID] = &j.Tasks[i]
-	}
-	level := make(map[TaskID]int, len(j.Tasks))
-	var visit func(id TaskID, stack map[TaskID]bool) (int, bool)
-	visit = func(id TaskID, stack map[TaskID]bool) (int, bool) {
-		if l, ok := level[id]; ok {
-			return l, true
-		}
-		if stack[id] {
-			return 0, false // cycle
-		}
-		stack[id] = true
-		defer delete(stack, id)
-		t, ok := byID[id]
-		if !ok {
-			return 0, false // dangling dependency
-		}
-		l := 0
-		for _, dep := range t.Deps {
-			dl, ok := visit(dep, stack)
-			if !ok {
-				return 0, false
-			}
-			if dl+1 > l {
-				l = dl + 1
-			}
-		}
-		level[id] = l
-		return l, true
-	}
-	maxL := 0
-	for i := range j.Tasks {
-		l, ok := visit(j.Tasks[i].ID, map[TaskID]bool{})
-		if !ok {
-			return nil
-		}
-		if l > maxL {
-			maxL = l
-		}
-	}
-	out := make([][]TaskID, maxL+1)
-	for i := range j.Tasks {
-		l := level[j.Tasks[i].ID]
-		out[l] = append(out[l], j.Tasks[i].ID)
-	}
-	return out
-}
-
 // CriticalPath returns the length of the longest dependency chain measured in
 // reference runtime — the minimum possible makespan with unlimited resources.
-// It returns 0 for cyclic jobs.
+// It returns 0 for invalid jobs (a cycle, a dangling dependency or a
+// duplicate task ID).
 func (j *Job) CriticalPath() time.Duration {
-	byID := make(map[TaskID]*Task, len(j.Tasks))
-	for i := range j.Tasks {
-		byID[j.Tasks[i].ID] = &j.Tasks[i]
+	order, start, dependents, err := j.dag()
+	if err != nil {
+		return 0
 	}
-	memo := make(map[TaskID]time.Duration, len(j.Tasks))
-	var visit func(id TaskID, stack map[TaskID]bool) (time.Duration, bool)
-	visit = func(id TaskID, stack map[TaskID]bool) (time.Duration, bool) {
-		if v, ok := memo[id]; ok {
-			return v, true
-		}
-		if stack[id] {
-			return 0, false
-		}
-		stack[id] = true
-		defer delete(stack, id)
-		t, ok := byID[id]
-		if !ok {
-			return 0, false
-		}
-		var longest time.Duration
-		for _, dep := range t.Deps {
-			d, ok := visit(dep, stack)
-			if !ok {
-				return 0, false
-			}
-			if d > longest {
-				longest = d
-			}
-		}
-		total := longest + t.Runtime
-		memo[id] = total
-		return total, true
-	}
+	// ready[p] is when the last task p depends on finishes.
+	ready := make([]time.Duration, len(j.Tasks))
 	var cp time.Duration
-	for i := range j.Tasks {
-		v, ok := visit(j.Tasks[i].ID, map[TaskID]bool{})
-		if !ok {
-			return 0
-		}
-		if v > cp {
-			cp = v
+	for _, p := range order {
+		finish := ready[p] + j.Tasks[p].Runtime
+		cp = max(cp, finish)
+		for _, q := range dependents[start[p]:start[p+1]] {
+			ready[q] = max(ready[q], finish)
 		}
 	}
 	return cp
 }
 
-// Validate checks structural invariants: unique task IDs, acyclic
-// dependencies, positive runtimes and core demands.
-func (j *Job) Validate() error {
-	seen := make(map[TaskID]bool, len(j.Tasks))
-	for _, t := range j.Tasks {
-		if seen[t.ID] {
-			return fmt.Errorf("job %d: duplicate task id %d", j.ID, t.ID)
+// dag resolves the job's dependencies to task positions and orders the
+// positions topologically by Kahn's algorithm: a task is taken once every
+// task it depends on has been, the tasks without dependencies first in
+// position order, then each task as it becomes ready. The dependents of
+// position p are dependents[start[p]:start[p+1]], in position order. dag
+// fails on a duplicate task ID, a dependency naming no task of the job,
+// and a cycle.
+func (j *Job) dag() (order, start, dependents []int32, err error) {
+	n := len(j.Tasks)
+	byID := make([]int32, n) // positions in task-ID order
+	for p := range byID {
+		byID[p] = int32(p)
+	}
+	slices.SortFunc(byID, func(a, b int32) int { return cmp.Compare(j.Tasks[a].ID, j.Tasks[b].ID) })
+	for k := 1; k < n; k++ {
+		if id := j.Tasks[byID[k]].ID; id == j.Tasks[byID[k-1]].ID {
+			return nil, nil, nil, fmt.Errorf("job %d: duplicate task id %d", j.ID, id)
 		}
-		seen[t.ID] = true
+	}
+	// Resolve every edge in task order and count each task's dependents.
+	var tails []int32
+	start = make([]int32, n+1)
+	for p := range j.Tasks {
+		t := &j.Tasks[p]
+		for _, dep := range t.Deps {
+			k, ok := slices.BinarySearchFunc(byID, dep, func(q int32, id TaskID) int { return cmp.Compare(j.Tasks[q].ID, id) })
+			if !ok {
+				return nil, nil, nil, fmt.Errorf("job %d task %d: dangling dependency %d", j.ID, t.ID, dep)
+			}
+			tails = append(tails, byID[k])
+			start[byID[k]+1]++
+		}
+	}
+	for p := range n {
+		start[p+1] += start[p]
+	}
+	// waiting first serves as each task's fill cursor into dependents,
+	// then counts the dependencies not yet taken.
+	waiting := slices.Clone(start[:n])
+	dependents = make([]int32, len(tails))
+	e := 0
+	for p := range j.Tasks {
+		for range j.Tasks[p].Deps {
+			d := tails[e]
+			e++
+			dependents[waiting[d]] = int32(p)
+			waiting[d]++
+		}
+	}
+	order = make([]int32, 0, n)
+	for p := range j.Tasks {
+		waiting[p] = int32(len(j.Tasks[p].Deps))
+		if waiting[p] == 0 {
+			order = append(order, int32(p))
+		}
+	}
+	for h := 0; h < len(order); h++ {
+		p := order[h]
+		for _, q := range dependents[start[p]:start[p+1]] {
+			if waiting[q]--; waiting[q] == 0 {
+				order = append(order, q)
+			}
+		}
+	}
+	if len(order) < n {
+		return nil, nil, nil, fmt.Errorf("job %d: dependency cycle", j.ID)
+	}
+	return order, start, dependents, nil
+}
+
+// Validate checks structural invariants: unique task IDs, dependencies on
+// tasks of the same job, no dependency cycle, positive runtimes and core
+// demands.
+func (j *Job) Validate() error {
+	simple := true // no dependencies, task IDs strictly increasing
+	for p, t := range j.Tasks {
 		if t.Runtime <= 0 {
 			return fmt.Errorf("job %d task %d: non-positive runtime %v", j.ID, t.ID, t.Runtime)
 		}
 		if t.Cores <= 0 {
 			return fmt.Errorf("job %d task %d: non-positive core demand %d", j.ID, t.ID, t.Cores)
 		}
-	}
-	hasDeps := false
-	for _, t := range j.Tasks {
-		for _, dep := range t.Deps {
-			if !seen[dep] {
-				return fmt.Errorf("job %d task %d: dangling dependency %d", j.ID, t.ID, dep)
-			}
-			hasDeps = true
+		if len(t.Deps) > 0 || (p > 0 && t.ID <= j.Tasks[p-1].ID) {
+			simple = false
 		}
 	}
-	// A cycle needs at least one dependency edge, so only jobs with edges
-	// pay for the level computation.
-	if hasDeps && j.Levels() == nil {
-		return fmt.Errorf("job %d: dependency cycle", j.ID)
+	// Generators and trace readers emit the IDs in order, so a job
+	// without dependencies is checked without building its DAG.
+	if simple {
+		return nil
 	}
-	return nil
+	_, _, _, err := j.dag()
+	return err
 }
 
 // Workload is an ordered collection of jobs (by submit time).

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -23,26 +25,46 @@ func chainJob(n int) Job {
 	return j
 }
 
-func TestJobLevelsChain(t *testing.T) {
-	j := chainJob(5)
-	levels := j.Levels()
-	if len(levels) != 5 {
-		t.Fatalf("chain of 5 has %d levels, want 5", len(levels))
-	}
-	for i, level := range levels {
-		if len(level) != 1 || level[0] != TaskID(i+1) {
-			t.Errorf("level %d = %v", i, level)
+// relaxedCriticalPath is the critical path of an acyclic job by repeated
+// relaxation over the tasks in list order: after len(Tasks) rounds every
+// task's finish time is its runtime after its latest dependency.
+func relaxedCriticalPath(j *Job) time.Duration {
+	finish := make(map[TaskID]time.Duration, len(j.Tasks))
+	for range j.Tasks {
+		for _, t := range j.Tasks {
+			var ready time.Duration
+			for _, dep := range t.Deps {
+				ready = max(ready, finish[dep])
+			}
+			finish[t.ID] = ready + t.Runtime
 		}
 	}
-	if j.MaxParallelism() != 1 {
-		t.Errorf("chain parallelism=%d, want 1", j.MaxParallelism())
+	var cp time.Duration
+	for _, f := range finish {
+		cp = max(cp, f)
+	}
+	return cp
+}
+
+func TestJobCriticalPathChain(t *testing.T) {
+	j := chainJob(5)
+	if err := j.Validate(); err != nil {
+		t.Fatal(err)
 	}
 	if cp := j.CriticalPath(); cp != 5*time.Second {
 		t.Errorf("chain critical path=%v, want 5s", cp)
 	}
+	// Listed last-first, the chain has the same path.
+	slices.Reverse(j.Tasks)
+	if err := j.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if cp := j.CriticalPath(); cp != 5*time.Second {
+		t.Errorf("reversed chain critical path=%v, want 5s", cp)
+	}
 }
 
-func TestJobLevelsForkJoin(t *testing.T) {
+func TestJobCriticalPathForkJoin(t *testing.T) {
 	j := Job{ID: 1, Tasks: []Task{
 		{ID: 1, Cores: 1, MemoryMB: 1, Runtime: time.Second},
 		{ID: 2, Cores: 1, MemoryMB: 1, Runtime: 2 * time.Second, Deps: []TaskID{1}},
@@ -51,9 +73,6 @@ func TestJobLevelsForkJoin(t *testing.T) {
 	}}
 	if err := j.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if got := j.MaxParallelism(); got != 2 {
-		t.Errorf("parallelism=%d, want 2", got)
 	}
 	// Critical path: 1 (1s) -> 3 (3s) -> 4 (1s) = 5s.
 	if cp := j.CriticalPath(); cp != 5*time.Second {
@@ -66,11 +85,8 @@ func TestJobValidateRejectsCycle(t *testing.T) {
 		{ID: 1, Cores: 1, MemoryMB: 1, Runtime: time.Second, Deps: []TaskID{2}},
 		{ID: 2, Cores: 1, MemoryMB: 1, Runtime: time.Second, Deps: []TaskID{1}},
 	}}
-	if err := j.Validate(); err == nil {
-		t.Fatal("cycle not detected")
-	}
-	if j.Levels() != nil {
-		t.Error("Levels of cyclic job must be nil")
+	if err := j.Validate(); err == nil || !strings.Contains(err.Error(), "cycle") {
+		t.Fatalf("cycle not detected: %v", err)
 	}
 	if j.CriticalPath() != 0 {
 		t.Error("CriticalPath of cyclic job must be 0")
@@ -206,20 +222,8 @@ func TestGenerateShapes(t *testing.T) {
 		}
 		for i := range w.Jobs {
 			j := &w.Jobs[i]
-			par := j.MaxParallelism()
-			switch shape {
-			case Chain:
-				if par != 1 {
-					t.Errorf("chain job parallelism=%d", par)
-				}
-			case ForkJoin:
-				if len(j.Tasks) >= 3 && par != len(j.Tasks)-2 {
-					t.Errorf("fork-join parallelism=%d tasks=%d", par, len(j.Tasks))
-				}
-			case BagOfTasks:
-				if par != len(j.Tasks) {
-					t.Errorf("bag parallelism=%d tasks=%d", par, len(j.Tasks))
-				}
+			if got, want := j.CriticalPath(), relaxedCriticalPath(j); got != want {
+				t.Errorf("%v job %d: critical path %v, want %v", shape, j.ID, got, want)
 			}
 		}
 		if shape.String() == "" {
