@@ -27,8 +27,8 @@ import "mcs/internal/par"
 //
 // Shard functions must not share mutable state (that is what makes them
 // shards); read-only structures such as a pre-generated graph are safe to
-// share. Callers needing kernel options build their own kernels inside fn
-// and ignore the provided one.
+// share. Callers needing kernel options build their own kernels inside fn,
+// ignore the provided one, and return their kernel's Err themselves.
 func PartitionedRun[T any](shards, workers int, seed int64, fn func(shard int, k *Kernel) (T, error)) ([]T, error) {
 	return par.MapOrdered(shards, workers, func(i int) (T, error) {
 		k := New(seed + int64(i))
