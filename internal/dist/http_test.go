@@ -6,7 +6,6 @@ package dist_test
 // endpoint.
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -16,6 +15,7 @@ import (
 	"testing"
 
 	"mcs/internal/dist"
+	"mcs/internal/scenario"
 )
 
 func TestMixedFleetMatchesInProcess(t *testing.T) {
@@ -77,13 +77,13 @@ func TestHandlerRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// FuzzWorkUnit posts arbitrary bodies to the daemon's /run: the handler
-// answers 400 when the body is no work unit, and otherwise 200 with an
-// NDJSON stream of cell results; it never panics. Each request's context
-// is canceled before it is served, so the handler decodes the unit and
-// answers but runs no cell: an arbitrary body can name a scenario of any
-// size, and running documents is what the golden corpus and FuzzDocument
-// cover.
+// FuzzWorkUnit posts arbitrary bodies to the daemon's /run and then checks
+// each decoded cell's document the way a run begins: the envelope parse
+// and the strict schema check. The handler answers 400 when the body is no
+// work unit and 200 otherwise; nothing panics. Each request's context is
+// canceled before it is served, so the handler runs no cell and streams
+// nothing: an arbitrary body can name a scenario of any size, and running
+// documents is what the golden corpus covers.
 func FuzzWorkUnit(f *testing.F) {
 	_, _, cells, err := expandDoc(sweepDoc)
 	if err != nil {
@@ -97,7 +97,11 @@ func FuzzWorkUnit(f *testing.F) {
 		}
 		f.Add(body)
 	}
-	for _, body := range []string{"not json", "", `{"cells": [{"index": "x"}]}`, `{"cells": null} trailing`, `[]`} {
+	for _, body := range []string{
+		"not json", "", `{"cells": [{"index": "x"}]}`, `{"cells": null} trailing`, `[]`,
+		`{"cells": [{"doc": {"kind": "banking", "transactions": -1}}]}`,
+		`{"cells": [{"doc": {"kind": "sweep", "base": {"kind": "sweep"}}}]}`,
+	} {
 		f.Add([]byte(body))
 	}
 	handler := dist.NewServer().Handler()
@@ -114,22 +118,20 @@ func FuzzWorkUnit(f *testing.F) {
 			if decodeErr == nil {
 				t.Fatalf("a decodable work unit was refused: %s", rec.Body)
 			}
+			return
 		case http.StatusOK:
 			if decodeErr != nil {
 				t.Fatalf("an undecodable body was accepted (%v)", decodeErr)
 			}
-			if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" {
-				t.Fatalf("stream content type %q", ct)
-			}
-			sc := bufio.NewScanner(rec.Body)
-			for sc.Scan() {
-				var res dist.CellResult
-				if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
-					t.Fatalf("stream line %q: %v", sc.Bytes(), err)
-				}
+			if rec.Body.Len() != 0 {
+				t.Fatalf("a canceled request streamed %q", rec.Body)
 			}
 		default:
 			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		for _, spec := range unit.Cells {
+			_, _ = scenario.ParseCommon(spec.Doc)
+			_ = scenario.Strict(spec.Doc)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -206,6 +207,46 @@ func TestGenerateDefaultsAreValid(t *testing.T) {
 	}
 }
 
+// checkShape reports how a generated job's dependencies differ from its
+// shape's wiring, or "" when they match. A bag has no edges; a chain links
+// each task to the one before it; a fork-join of n >= 3 tasks hangs every
+// middle task off the first and joins them all into the last, and one of
+// two tasks is a chain of two. Random DAGs are checked by Validate alone.
+func checkShape(j *Job, shape Shape) string {
+	tasks := j.Tasks
+	n := len(tasks)
+	want := func(i int) []TaskID {
+		switch shape {
+		case Chain:
+			if i > 0 {
+				return []TaskID{tasks[i-1].ID}
+			}
+		case ForkJoin:
+			switch {
+			case n == 2 && i == 1:
+				return []TaskID{tasks[0].ID}
+			case n >= 3 && i == n-1:
+				mid := make([]TaskID, 0, n-2)
+				for _, t := range tasks[1 : n-1] {
+					mid = append(mid, t.ID)
+				}
+				return mid
+			case n >= 3 && i > 0:
+				return []TaskID{tasks[0].ID}
+			}
+		case RandomDAG:
+			return tasks[i].Deps
+		}
+		return nil
+	}
+	for i := range tasks {
+		if w := want(i); !slices.Equal(tasks[i].Deps, w) {
+			return fmt.Sprintf("task %d deps %v, want %v", tasks[i].ID, tasks[i].Deps, w)
+		}
+	}
+	return ""
+}
+
 func TestGenerateShapes(t *testing.T) {
 	for _, shape := range []Shape{BagOfTasks, Chain, ForkJoin, RandomDAG} {
 		r := rand.New(rand.NewSource(5))
@@ -222,6 +263,9 @@ func TestGenerateShapes(t *testing.T) {
 		}
 		for i := range w.Jobs {
 			j := &w.Jobs[i]
+			if err := checkShape(j, shape); err != "" {
+				t.Errorf("%v job %d: %s", shape, j.ID, err)
+			}
 			if got, want := j.CriticalPath(), relaxedCriticalPath(j); got != want {
 				t.Errorf("%v job %d: critical path %v, want %v", shape, j.ID, got, want)
 			}
