@@ -9,7 +9,6 @@
 //	mcsim -list                                # enumerate registered scenario kinds
 //	mcsim -example [-kind faas]                # print an example document and exit
 //	mcsim -scenario base.json -sweep grid.json # sweep base over a parameter grid
-//	mcsim -scenario s.json -strict             # reject misspelled document fields
 //	mcsim -scenario s.json -export-trace w.mcw # export the executed workload
 //	mcsim -scenario s.json -export-csv out/    # per-cell CSVs for figure pipelines
 //	mcsim -scenario b.json -sweep g.json -distributed -workers 4   # subprocess fleet
@@ -109,7 +108,6 @@ func run(args []string, stdin io.Reader, out, status io.Writer) error {
 		list         = fs.Bool("list", false, "list registered scenario kinds and exit")
 		example      = fs.Bool("example", false, "print an example scenario and exit")
 		sweepPath    = fs.String("sweep", "", "path to a parameter-grid JSON; sweeps the -scenario document over it")
-		strict       = fs.Bool("strict", false, "reject unknown document fields (misspellings) before running")
 		parallel     = fs.Int("parallel", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 		exportTrace  = fs.String("export-trace", "", "write the executed workload to this trace file")
 		traceFormat  = fs.String("trace-format", "", "trace format for -export-trace (default: by extension, else gwf; use .mcw or -trace-format mcw for exact replay)")
@@ -145,15 +143,11 @@ func run(args []string, stdin io.Reader, out, status io.Writer) error {
 		if name == "" {
 			name = scenario.DefaultKind
 		}
-		factory, ok := scenario.Lookup(name)
+		ex, ok := scenario.Example(name)
 		if !ok {
-			return fmt.Errorf("unknown kind %q (registered: %v)", name, scenario.List())
+			return fmt.Errorf("no example for kind %q (registered: %v)", name, scenario.List())
 		}
-		ex, ok := factory().(scenario.Exampler)
-		if !ok {
-			return fmt.Errorf("scenario %q has no example", name)
-		}
-		fmt.Fprintln(out, ex.Example())
+		fmt.Fprintln(out, ex)
 		return nil
 	}
 	if *scenarioPath == "" {
@@ -168,14 +162,6 @@ func run(args []string, stdin io.Reader, out, status io.Writer) error {
 	}
 	if *sweepPath != "" {
 		if raw, err = composeSweep(raw, *sweepPath, *parallel); err != nil {
-			return err
-		}
-	}
-	if *strict {
-		// Checked after -sweep composition so a sweep document's base and
-		// every expanded cell are vetted too (a misspelled grid path would
-		// otherwise sweep nothing, silently).
-		if err := scenario.Strict(raw); err != nil {
 			return err
 		}
 	}

@@ -61,8 +61,8 @@ func TestExampleFlagPerKind(t *testing.T) {
 
 // TestExampleRoundTripEveryKind is the registry round-trip smoke CI runs:
 // for every registered kind, `mcsim -example -kind K` must produce a
-// document that `mcsim -scenario` runs successfully — an unregistered
-// Exampler or a broken example doc fails here.
+// document that `mcsim -scenario` runs successfully — a kind registered
+// without an example or a broken example doc fails here.
 func TestExampleRoundTripEveryKind(t *testing.T) {
 	for _, kind := range scenario.List() {
 		kind := kind
@@ -395,5 +395,27 @@ func TestAbsentKindDefaultsLoudly(t *testing.T) {
 	}
 	if res.Scenario != "datacenter" {
 		t.Errorf("scenario = %q, want the documented default", res.Scenario)
+	}
+}
+
+// TestMisspelledFieldFailsPlainRun: the datacenter golden with "machines"
+// spelled "machnes" exits with an error naming the field on a plain run,
+// with no flag asking for it, and prints no report.
+func TestMisspelledFieldFailsPlainRun(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "internal", "scenario", "testdata", "golden", "datacenter.doc.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "machnes.json")
+	if err := os.WriteFile(path, []byte(strings.Replace(string(golden), `"machines"`, `"machnes"`, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	err = run([]string{"-scenario", path}, nil, &out, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), `"machnes"`) {
+		t.Errorf("run = %v, want an error naming \"machnes\"", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("a report was printed: %s", out.String())
 	}
 }

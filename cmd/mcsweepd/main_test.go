@@ -6,6 +6,8 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -199,5 +201,33 @@ func TestOversizedWorkUnitRejected(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].Err != "" || got[0].Result == nil {
 		t.Fatalf("normal unit results = %+v", got)
+	}
+}
+
+// TestDaemonFailsMisspelledCell: a work unit whose cell is the datacenter
+// golden with "machines" spelled "machnes" gets, through POST /run, a cell
+// result whose error names the field. The unit itself succeeds, so a
+// coordinator records the cell as a scenario failure, not a lost worker.
+func TestDaemonFailsMisspelledCell(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "internal", "scenario", "testdata", "golden", "datacenter.doc.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go serve(t.Context(), ln, nil, io.Discard)
+
+	doc := strings.Replace(string(golden), `"machines"`, `"machnes"`, 1)
+	unit := dist.WorkUnit{Cells: []dist.CellSpec{{Key: "machnes", Seed: 1, Doc: json.RawMessage(doc)}}}
+	var results []dist.CellResult
+	w := &dist.HTTP{Base: "http://" + ln.Addr().String()}
+	if err := w.Run(context.Background(), unit, func(r dist.CellResult) { results = append(results, r) }); err != nil {
+		t.Fatalf("POST /run failed as a worker error: %v", err)
+	}
+	if len(results) != 1 || results[0].Result != nil || !strings.Contains(results[0].Err, `unknown field "machnes"`) {
+		t.Errorf("cell results %+v, want one error naming \"machnes\"", results)
 	}
 }

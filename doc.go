@@ -61,9 +61,9 @@
 // envelope. Because the section rides the document schema, every failure
 // parameter is a JSON-pointer sweep axis ("/failures/mtbf/mean") —
 // resilience campaigns distribute like any other sweep with byte-identical
-// merged reports; see examples/resilience/campaign.json. `mcsim -strict`
-// re-parses any document against its kind's published schema and rejects
-// misspelled fields by name.
+// merged reports; see examples/resilience/campaign.json. Every document is
+// decoded strictly against its kind's registered schema, so a misspelled
+// field fails the run by name.
 //
 // The observability layer (internal/obs) watches all of it without
 // touching any of it: kernel dispatch telemetry behind a nil-by-default

@@ -141,19 +141,16 @@ type autoscaleScenario struct {
 }
 
 func init() {
-	scenario.Register("autoscale", func() scenario.Scenario { return &autoscaleScenario{} })
+	scenario.Register[ScenarioJSON]("autoscale", ExampleJSON, func() scenario.Scenario { return &autoscaleScenario{} })
 }
 
 // Name implements scenario.Scenario.
 func (a *autoscaleScenario) Name() string { return "autoscale" }
 
-// Example implements scenario.Exampler.
-func (a *autoscaleScenario) Example() string { return ExampleJSON }
-
 // Configure implements scenario.Scenario.
 func (a *autoscaleScenario) Configure(raw json.RawMessage) error {
 	var cfg ScenarioJSON
-	if err := json.Unmarshal(raw, &cfg); err != nil {
+	if err := scenario.Decode(raw, &cfg); err != nil {
 		return err
 	}
 	if err := cfg.RejectFailures("autoscale"); err != nil {
@@ -198,9 +195,6 @@ func (a *autoscaleScenario) Configure(raw json.RawMessage) error {
 	}
 	return nil
 }
-
-// Schema implements scenario.Schemer (mcsim -strict).
-func (a *autoscaleScenario) Schema() any { return &ScenarioJSON{} }
 
 // Run implements scenario.Scenario: draw the demand curve from the kernel's
 // deterministic RNG, replay it against the policy as kernel events, and

@@ -57,14 +57,11 @@ type bankingScenario struct {
 }
 
 func init() {
-	scenario.Register("banking", func() scenario.Scenario { return &bankingScenario{} })
+	scenario.Register[ScenarioJSON]("banking", ExampleJSON, func() scenario.Scenario { return &bankingScenario{} })
 }
 
 // Name implements scenario.Scenario.
 func (b *bankingScenario) Name() string { return "banking" }
-
-// Example implements scenario.Exampler.
-func (b *bankingScenario) Example() string { return ExampleJSON }
 
 // SourceWorkload implements scenario.WorkloadProvider. The workload is
 // the transaction column's export form (WorkloadFromTransactions), built
@@ -87,7 +84,7 @@ func (b *bankingScenario) Configure(raw json.RawMessage) error {
 // configure is Configure for a run under an event budget of budget.
 func (b *bankingScenario) configure(raw json.RawMessage, budget uint64) error {
 	var cfg ScenarioJSON
-	if err := json.Unmarshal(raw, &cfg); err != nil {
+	if err := scenario.Decode(raw, &cfg); err != nil {
 		return err
 	}
 	if err := cfg.RejectFailures("banking"); err != nil {
@@ -134,9 +131,6 @@ func (b *bankingScenario) configure(raw json.RawMessage, budget uint64) error {
 	b.txs = txs
 	return nil
 }
-
-// Schema implements scenario.Schemer (mcsim -strict).
-func (b *bankingScenario) Schema() any { return &ScenarioJSON{} }
 
 // Run implements scenario.Scenario.
 func (b *bankingScenario) Run(k *sim.Kernel) (*scenario.Result, error) {

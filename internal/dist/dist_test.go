@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -23,6 +24,7 @@ import (
 
 	// Ecosystem packages register the scenario kinds campaigns run.
 	_ "mcs/internal/banking"
+	_ "mcs/internal/opendc"
 )
 
 // TestMain doubles as the worker child for the subprocess-transport tests:
@@ -368,5 +370,47 @@ func TestRunCellScenarioError(t *testing.T) {
 	res := dist.RunCell(dist.CellSpec{Index: 3, Key: "k", Seed: 1, Doc: json.RawMessage(`{"kind": "nope"}`)})
 	if res.Err == "" || res.Index != 3 {
 		t.Errorf("RunCell = %+v, want index-3 error", res)
+	}
+}
+
+// unitCounter counts the work units dispatched to it and runs none.
+type unitCounter struct{ units atomic.Int64 }
+
+func (u *unitCounter) Name() string { return "unit-counter" }
+func (u *unitCounter) Run(context.Context, dist.WorkUnit, func(dist.CellResult)) error {
+	u.units.Add(1)
+	return errors.New("unit-counter runs no cells")
+}
+func (u *unitCounter) Close() error { return nil }
+
+// TestCoordinatorRefusesMisspelledFieldBeforeDispatch: a campaign over the
+// datacenter golden with "machines" spelled "machnes" fails in Run with an
+// error naming the field, before CampaignStarted and before any work unit
+// is dispatched.
+func TestCoordinatorRefusesMisspelledFieldBeforeDispatch(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "scenario", "testdata", "golden", "datacenter.doc.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := strings.Replace(string(golden), `"machines"`, `"machnes"`, 1)
+	doc := `{"kind": "sweep", "base": ` + base + `, "grid": {"/seed": [1, 2]}}`
+	w := &unitCounter{}
+	sink := &recordingSink{}
+	coord, err := dist.NewCoordinator([]dist.Worker{w}, dist.Options{Events: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := coord.Run(context.Background(), json.RawMessage(doc))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "machnes"`) {
+		t.Errorf("Run = %v, want an error naming \"machnes\"", err)
+	}
+	if res != nil {
+		t.Error("a report was returned")
+	}
+	if n := w.units.Load(); n != 0 {
+		t.Errorf("%d work units dispatched", n)
+	}
+	if len(sink.events) != 0 {
+		t.Errorf("events emitted before the refusal: %+v", sink.events)
 	}
 }

@@ -83,14 +83,11 @@ type faasScenario struct {
 }
 
 func init() {
-	scenario.Register("faas", func() scenario.Scenario { return &faasScenario{} })
+	scenario.Register[ScenarioJSON]("faas", ExampleJSON, func() scenario.Scenario { return &faasScenario{} })
 }
 
 // Name implements scenario.Scenario.
 func (f *faasScenario) Name() string { return "faas" }
-
-// Example implements scenario.Exampler.
-func (f *faasScenario) Example() string { return ExampleJSON }
 
 // SourceWorkload implements scenario.WorkloadProvider.
 func (f *faasScenario) SourceWorkload() (*workload.Workload, error) {
@@ -103,7 +100,7 @@ func (f *faasScenario) SourceWorkload() (*workload.Workload, error) {
 // Configure implements scenario.Scenario.
 func (f *faasScenario) Configure(raw json.RawMessage) error {
 	var cfg ScenarioJSON
-	if err := json.Unmarshal(raw, &cfg); err != nil {
+	if err := scenario.Decode(raw, &cfg); err != nil {
 		return err
 	}
 	if err := cfg.RejectParallel("faas"); err != nil {
@@ -222,9 +219,6 @@ func generateInvocations(functions []Function, names []string, count int, meanGa
 	}
 	return w, nil
 }
-
-// Schema implements scenario.Schemer (mcsim -strict).
-func (f *faasScenario) Schema() any { return &ScenarioJSON{} }
 
 // Run implements scenario.Scenario.
 func (f *faasScenario) Run(k *sim.Kernel) (*scenario.Result, error) {

@@ -90,22 +90,16 @@ type federationScenario struct {
 }
 
 func init() {
-	scenario.Register("federation", func() scenario.Scenario { return &federationScenario{} })
+	scenario.Register[ScenarioJSON]("federation", ExampleJSON, func() scenario.Scenario { return &federationScenario{} })
 }
 
 // Name implements scenario.Scenario.
 func (f *federationScenario) Name() string { return "federation" }
 
-// Example implements scenario.Exampler.
-func (f *federationScenario) Example() string { return ExampleJSON }
-
-// Schema implements scenario.Schemer (mcsim -strict).
-func (f *federationScenario) Schema() any { return &ScenarioJSON{} }
-
 // Configure implements scenario.Scenario.
 func (f *federationScenario) Configure(raw json.RawMessage) error {
 	var cfg ScenarioJSON
-	if err := json.Unmarshal(raw, &cfg); err != nil {
+	if err := scenario.Decode(raw, &cfg); err != nil {
 		return err
 	}
 	overlay, err := cfg.FailureOverlay()

@@ -54,14 +54,11 @@ type gamingScenario struct {
 }
 
 func init() {
-	scenario.Register("gaming", func() scenario.Scenario { return &gamingScenario{} })
+	scenario.Register[ScenarioJSON]("gaming", ExampleJSON, func() scenario.Scenario { return &gamingScenario{} })
 }
 
 // Name implements scenario.Scenario.
 func (g *gamingScenario) Name() string { return "gaming" }
-
-// Example implements scenario.Exampler.
-func (g *gamingScenario) Example() string { return ExampleJSON }
 
 // SourceWorkload implements scenario.WorkloadProvider.
 func (g *gamingScenario) SourceWorkload() (*workload.Workload, error) {
@@ -74,7 +71,7 @@ func (g *gamingScenario) SourceWorkload() (*workload.Workload, error) {
 // Configure implements scenario.Scenario.
 func (g *gamingScenario) Configure(raw json.RawMessage) error {
 	var cfg ScenarioJSON
-	if err := json.Unmarshal(raw, &cfg); err != nil {
+	if err := scenario.Decode(raw, &cfg); err != nil {
 		return err
 	}
 	if err := cfg.RejectParallel("gaming"); err != nil {
@@ -140,9 +137,6 @@ func (g *gamingScenario) Configure(raw json.RawMessage) error {
 	}
 	return nil
 }
-
-// Schema implements scenario.Schemer (mcsim -strict).
-func (g *gamingScenario) Schema() any { return &ScenarioJSON{} }
 
 // Run implements scenario.Scenario.
 func (g *gamingScenario) Run(k *sim.Kernel) (*scenario.Result, error) {

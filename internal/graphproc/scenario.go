@@ -57,19 +57,16 @@ type graphScenario struct {
 }
 
 func init() {
-	scenario.Register("graph", func() scenario.Scenario { return &graphScenario{} })
+	scenario.Register[ScenarioJSON]("graph", ExampleJSON, func() scenario.Scenario { return &graphScenario{} })
 }
 
 // Name implements scenario.Scenario.
 func (g *graphScenario) Name() string { return "graph" }
 
-// Example implements scenario.Exampler.
-func (g *graphScenario) Example() string { return ExampleJSON }
-
 // Configure implements scenario.Scenario.
 func (g *graphScenario) Configure(raw json.RawMessage) error {
 	var cfg ScenarioJSON
-	if err := json.Unmarshal(raw, &cfg); err != nil {
+	if err := scenario.Decode(raw, &cfg); err != nil {
 		return err
 	}
 	if err := cfg.RejectFailures("graph"); err != nil {
@@ -120,9 +117,6 @@ func (g *graphScenario) Configure(raw json.RawMessage) error {
 	g.seed = cfg.Seed
 	return nil
 }
-
-// Schema implements scenario.Schemer (mcsim -strict).
-func (g *graphScenario) Schema() any { return &ScenarioJSON{} }
 
 // Run implements scenario.Scenario. The graph is generated once from the
 // runner's kernel RNG; each algorithm then runs as an independent shard —

@@ -183,14 +183,11 @@ type datacenterScenario struct {
 }
 
 func init() {
-	scenario.Register("datacenter", func() scenario.Scenario { return &datacenterScenario{} })
+	scenario.Register[ScenarioJSON]("datacenter", ExampleJSON, func() scenario.Scenario { return &datacenterScenario{} })
 }
 
 // Name implements scenario.Scenario.
 func (d *datacenterScenario) Name() string { return "datacenter" }
-
-// Example implements scenario.Exampler.
-func (d *datacenterScenario) Example() string { return ExampleJSON }
 
 // SourceWorkload implements scenario.WorkloadProvider: the workload the
 // configured run executes, exportable as a trace and replayable to a
@@ -202,13 +199,10 @@ func (d *datacenterScenario) SourceWorkload() (*workload.Workload, error) {
 	return d.sc.Workload, nil
 }
 
-// Schema implements scenario.Schemer (mcsim -strict).
-func (d *datacenterScenario) Schema() any { return &ScenarioJSON{} }
-
 // Configure implements scenario.Scenario.
 func (d *datacenterScenario) Configure(raw json.RawMessage) error {
 	var cfg ScenarioJSON
-	if err := json.Unmarshal(raw, &cfg); err != nil {
+	if err := scenario.Decode(raw, &cfg); err != nil {
 		return err
 	}
 	if err := cfg.RejectParallel("datacenter"); err != nil {

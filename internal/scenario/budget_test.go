@@ -15,11 +15,11 @@ import (
 // RunScenarioObserved returns in place of the report.
 func TestEnginesStopOnEventBudget(t *testing.T) {
 	for _, kind := range []string{"datacenter", "gaming", "faas"} {
-		factory, ok := scenario.Lookup(kind)
+		ex, ok := scenario.Example(kind)
 		if !ok {
 			t.Fatalf("kind %q not registered", kind)
 		}
-		s, err := scenario.New(kind, json.RawMessage(factory().(scenario.Exampler).Example()))
+		s, err := scenario.New(kind, json.RawMessage(ex))
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}

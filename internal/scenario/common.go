@@ -86,69 +86,51 @@ func (c Common) RejectParallel(kind string) error {
 	return nil
 }
 
-// Schemer is optionally implemented by scenarios that publish the Go value
-// of their full document schema, enabling strict parsing: Strict decodes the
-// document into a fresh schema value with unknown fields disallowed, so a
-// misspelled field errors with the offending key instead of being silently
-// ignored (mcsim -strict).
-type Schemer interface {
-	// Schema returns a pointer to a zero value of the document schema.
-	Schema() any
+// Decode is the one decode of a scenario document: it fills v, a pointer
+// to the kind's schema, from raw with unknown fields disallowed, so a
+// misspelled field fails the run instead of leaving its default in place,
+// and names a mistyped value by its JSON pointer. Every kind's Configure
+// and the sweep expander decode through it; only ParseCommon, which reads
+// just the envelope of a document that carries more, stays lenient.
+func Decode(raw json.RawMessage, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return pointerError(raw, err)
+	}
+	if len(bytes.Trim(raw[dec.InputOffset():], " \t\r\n")) > 0 {
+		return errors.New("json: invalid data after top-level value")
+	}
+	return nil
 }
 
-// Strict re-parses a full scenario document against the schema its kind
-// publishes, rejecting unknown fields anywhere in the document. For a sweep
-// document every grid assignment is checked against the base kind's
-// schema, which catches misspelled grid paths as well — a grid axis that
-// names a field no schema declares would otherwise sweep nothing,
-// silently. Repetition copies of an assignment differ only in /seed, so
-// only the first (#0) is decoded; it is also the first of them to fail.
+// check decodes raw into the schema kind registered, configuring nothing,
+// so it loads no trace file and builds no model.
+func check(kind string, raw json.RawMessage) error {
+	e, ok := lookup(kind)
+	if !ok {
+		return fmt.Errorf("scenario: unknown kind %q (registered: %v)", kind, List())
+	}
+	if err := e.check(raw); err != nil {
+		return fmt.Errorf("scenario %q: strict parse: %w", kind, err)
+	}
+	return nil
+}
+
+// Strict decodes a full scenario document against the schema its kind
+// registered without configuring it. A sweep document is checked as its
+// expansion checks it: the sweep header, then one cell per grid
+// assignment against the base kind's schema.
 func Strict(raw json.RawMessage) error {
 	env, err := ParseCommon(raw)
 	if err != nil {
 		return err
 	}
-	if err := strictKind(env.Kind, raw); err != nil {
+	if env.Kind == "sweep" {
+		_, _, _, err := ExpandSweepDocument(raw)
 		return err
 	}
-	if env.Kind != "sweep" {
-		return nil
-	}
-	cfg, baseKind, cells, err := ExpandSweepDocument(raw)
-	if err != nil {
-		return err
-	}
-	// ExpandGrid emits repetitions innermost, reps cells per assignment.
-	reps := max(cfg.Repetitions, 1)
-	for i := 0; i < len(cells); i += reps {
-		cell := cells[i]
-		if err := strictKind(baseKind, cell.Doc); err != nil {
-			if cell.Key == "" {
-				return err
-			}
-			return fmt.Errorf("cell %q: %w", cell.Key, err)
-		}
-	}
-	return nil
-}
-
-// strictKind decodes raw into kind's published schema with unknown fields
-// disallowed.
-func strictKind(kind string, raw json.RawMessage) error {
-	factory, ok := Lookup(kind)
-	if !ok {
-		return fmt.Errorf("scenario: unknown kind %q (registered: %v)", kind, List())
-	}
-	sch, ok := factory().(Schemer)
-	if !ok {
-		return fmt.Errorf("scenario %q does not publish a schema (strict parsing unavailable)", kind)
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(sch.Schema()); err != nil {
-		return fmt.Errorf("scenario %q: strict parse: %w", kind, pointerError(raw, err))
-	}
-	return nil
+	return check(env.Kind, raw)
 }
 
 // pointerError rewrites a JSON type error to name the offending value by

@@ -133,15 +133,12 @@ func with(doc json.RawMessage, key string, value any) json.RawMessage {
 }
 
 // TestGoldenDocsByteIdentical is the contract's plain mode: every golden
-// document parses under Strict (a misspelled field would otherwise fall
-// back to its default silently) and reproduces its committed capture.
+// document reproduces its committed capture (the run decodes strictly, so
+// a misspelled field fails here instead of falling back to its default).
 func TestGoldenDocsByteIdentical(t *testing.T) {
 	for _, g := range loadGoldens(t) {
 		t.Run(g.name, func(t *testing.T) {
 			t.Parallel()
-			if err := scenario.Strict(g.doc); err != nil {
-				t.Fatal(err)
-			}
 			g.check(t, runDocBytes(t, string(g.doc)))
 		})
 	}
@@ -212,15 +209,11 @@ func isProvider(kind string) bool {
 // acceptsParallel reports whether kind configures its own example document
 // with a pool size set; kinds without a shard axis reject the field.
 func acceptsParallel(kind string) bool {
-	factory, ok := scenario.Lookup(kind)
+	ex, ok := scenario.Example(kind)
 	if !ok {
 		return false
 	}
-	ex, ok := factory().(scenario.Exampler)
-	if !ok {
-		return false
-	}
-	_, err := scenario.New(kind, with(json.RawMessage(ex.Example()), "parallel", 2))
+	_, err := scenario.New(kind, with(json.RawMessage(ex), "parallel", 2))
 	return err == nil
 }
 

@@ -81,9 +81,8 @@ func configFor(t *testing.T, kind string) json.RawMessage {
 	if cfg, ok := quickConfigs[kind]; ok {
 		return json.RawMessage(cfg)
 	}
-	factory, _ := scenario.Lookup(kind)
-	if ex, ok := factory().(scenario.Exampler); ok {
-		return json.RawMessage(ex.Example())
+	if ex, ok := scenario.Example(kind); ok {
+		return json.RawMessage(ex)
 	}
 	return json.RawMessage(`{}`)
 }

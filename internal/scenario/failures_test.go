@@ -10,13 +10,15 @@ package scenario_test
 //     resilience-campaign golden pins one; TestDeterminismContract runs it
 //     at every pool size and fleet shape);
 //   - kinds without a degradable capacity model reject the section loudly;
-//   - -strict surfaces misspelled fields with the offending key.
+//   - a misspelled field fails with the offending key.
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -269,7 +271,7 @@ func TestFailureConfigErrorsNameFieldAndKind(t *testing.T) {
 	}
 }
 
-// TestStrictRejectsUnknownFields pins that -strict's parser names the
+// TestStrictRejectsUnknownFields pins that the strict decode names the
 // offending key for misspelled fields, at the top level, inside the
 // failures section, and inside every expanded sweep cell, and names a
 // mistyped value by its JSON pointer, never by the Go struct field.
@@ -312,6 +314,89 @@ func TestStrictRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestEveryKindRejectsUnknownFields: every registered kind's example
+// document, with one unknown field added at the top level, in the shared
+// workload block, or in a kind-specific nested object, fails scenario.New
+// with an error naming the field. The plain example configures.
+func TestEveryKindRejectsUnknownFields(t *testing.T) {
+	nested := map[string][]string{
+		"datacenter": {"/scheduler", "/failures/mtbf"},
+		"faas":       {"/functions/0"},
+		"federation": {"/sites/1", "/scheduler"},
+		"sweep":      {"/base"},
+	}
+	for _, kind := range scenario.List() {
+		if strings.HasPrefix(kind, "test-") {
+			continue
+		}
+		ex, ok := scenario.Example(kind)
+		if !ok {
+			t.Fatalf("kind %q registered no example", kind)
+		}
+		if _, err := scenario.New(kind, json.RawMessage(ex)); err != nil {
+			t.Fatalf("%s example: %v", kind, err)
+		}
+		for i, ptr := range append([]string{"", "/workload"}, nested[kind]...) {
+			field := fmt.Sprintf("bogus%d", i)
+			t.Run(kind+ptr, func(t *testing.T) {
+				_, err := scenario.New(kind, withField(t, ex, ptr, field))
+				if want := fmt.Sprintf("unknown field %q", field); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("error %v does not name %s", err, want)
+				}
+			})
+		}
+	}
+}
+
+// TestDecodeRejectsTrailingData: the strict decode reads one document and
+// refuses anything after it, as a whole-input decode does.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	for _, doc := range []string{`{"transactions": 10} {"transactions": 20}`, `{"transactions": 10} x`} {
+		if _, err := scenario.New("banking", json.RawMessage(doc)); err == nil {
+			t.Errorf("%s: trailing data accepted", doc)
+		}
+	}
+	if _, err := scenario.New("banking", json.RawMessage("{\"transactions\": 10}\n\t ")); err != nil {
+		t.Errorf("trailing whitespace refused: %v", err)
+	}
+}
+
+// withField returns doc with field set to 1 in the object at the JSON
+// pointer ptr ("" is the top level), creating a missing object.
+func withField(t *testing.T, doc, ptr, field string) json.RawMessage {
+	t.Helper()
+	var root any
+	if err := json.Unmarshal([]byte(doc), &root); err != nil {
+		t.Fatal(err)
+	}
+	node := root
+	for _, seg := range strings.Split(ptr, "/")[1:] {
+		switch n := node.(type) {
+		case map[string]any:
+			if n[seg] == nil {
+				n[seg] = map[string]any{}
+			}
+			node = n[seg]
+		case []any:
+			i, err := strconv.Atoi(seg)
+			if err != nil || i >= len(n) {
+				t.Fatalf("pointer %s: no element %q", ptr, seg)
+			}
+			node = n[i]
+		}
+	}
+	obj, ok := node.(map[string]any)
+	if !ok {
+		t.Fatalf("pointer %s does not name an object", ptr)
+	}
+	obj[field] = 1
+	out, err := json.Marshal(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestTraceReplayRejectsBadSources: every trace-capable kind rejects a
 // missing trace file and an unknown format at Configure.
 func TestTraceReplayRejectsBadSources(t *testing.T) {
@@ -332,10 +417,10 @@ func TestTraceReplayRejectsBadSources(t *testing.T) {
 	}
 }
 
-// TestStrictRepetitionsErrorUnchanged: Strict decodes one repetition per
-// assignment, and a sweep whose base holds an unknown field still fails
-// with the message the per-cell check gave, naming rep #0 of the first
-// assignment.
+// TestStrictRepetitionsErrorUnchanged: the sweep's cell check decodes one
+// repetition per assignment, and a sweep whose base holds an unknown field
+// still fails with the message the per-cell check gave, naming rep #0 of
+// the first assignment.
 func TestStrictRepetitionsErrorUnchanged(t *testing.T) {
 	doc := `{"kind": "sweep", "seed": 3, "repetitions": 64,
 	  "base": {"kind": "banking", "transactions": 100, "bogus": 1},
@@ -343,19 +428,5 @@ func TestStrictRepetitionsErrorUnchanged(t *testing.T) {
 	want := `cell "/discipline=\"edf\",#0": scenario "banking": strict parse: json: unknown field "bogus"`
 	if err := scenario.Strict(json.RawMessage(doc)); err == nil || err.Error() != want {
 		t.Errorf("Strict = %v\nwant      %s", err, want)
-	}
-}
-
-// TestEveryRegisteredKindPublishesSchema keeps -strict total: a kind without
-// a Schema would make strict parsing unavailable for its documents.
-func TestEveryRegisteredKindPublishesSchema(t *testing.T) {
-	for _, kind := range scenario.List() {
-		if strings.HasPrefix(kind, "test-") {
-			continue
-		}
-		factory, _ := scenario.Lookup(kind)
-		if _, ok := factory().(scenario.Schemer); !ok {
-			t.Errorf("kind %q does not implement scenario.Schemer", kind)
-		}
 	}
 }

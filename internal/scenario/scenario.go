@@ -31,9 +31,10 @@ import (
 )
 
 // Scenario is one runnable workload domain. Implementations are configured
-// from raw JSON (unknown fields are ignored, so the same document that
-// carries the dispatch envelope configures the scenario) and then executed
-// on a kernel provided by the runner.
+// from the whole raw JSON document, envelope included, which Configure
+// decodes with Decode into the schema the kind registered: a field that
+// schema does not declare fails the run. The scenario is then executed on a
+// kernel provided by the runner.
 type Scenario interface {
 	// Name returns the registry kind this scenario answers to.
 	Name() string
@@ -44,12 +45,6 @@ type Scenario interface {
 	// Implementations must draw all randomness from the kernel (or from
 	// sources seeded by the same scenario seed) to stay reproducible.
 	Run(k *sim.Kernel) (*Result, error)
-}
-
-// Exampler is optionally implemented by scenarios that can print a
-// ready-to-run example document (used by `mcsim -example`).
-type Exampler interface {
-	Example() string
 }
 
 // WorkloadProvider is optionally implemented by scenarios whose workload is
@@ -106,15 +101,28 @@ func (r *Result) MetricNames() []string {
 // Factory creates a fresh, unconfigured scenario instance.
 type Factory func() Scenario
 
+// entry is one registry entry: everything a kind declares about its
+// documents, once, when it registers.
+type entry struct {
+	factory Factory
+	// example is a ready-to-run document (`mcsim -example`).
+	example string
+	// check decodes a document into the kind's schema and configures
+	// nothing.
+	check func(raw json.RawMessage) error
+}
+
 var (
 	registryMu sync.RWMutex
-	registry   = make(map[string]Factory)
+	registry   = make(map[string]entry)
 )
 
-// Register adds a scenario kind to the registry. It is intended to be called
-// from package init functions and panics on a duplicate or empty name, which
-// is always a programming error.
-func Register(name string, factory Factory) {
+// Register adds a scenario kind to the registry: Schema is the Go type of
+// its whole document (the type its Configure decodes), example a
+// ready-to-run document. It is intended to be called from package init
+// functions and panics on a duplicate or empty name, which is always a
+// programming error.
+func Register[Schema any](name, example string, factory Factory) {
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if name == "" || factory == nil {
@@ -123,15 +131,30 @@ func Register(name string, factory Factory) {
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("scenario: duplicate registration of %q", name))
 	}
-	registry[name] = factory
+	registry[name] = entry{factory: factory, example: example, check: func(raw json.RawMessage) error {
+		var doc Schema
+		return Decode(raw, &doc)
+	}}
+}
+
+func lookup(name string) (entry, bool) {
+	registryMu.RLock()
+	defer registryMu.RUnlock()
+	e, ok := registry[name]
+	return e, ok
 }
 
 // Lookup returns the factory registered under name.
 func Lookup(name string) (Factory, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	f, ok := registry[name]
-	return f, ok
+	e, ok := lookup(name)
+	return e.factory, ok
+}
+
+// Example returns the example document registered under name; false when
+// name is not registered or registered none.
+func Example(name string) (string, bool) {
+	e, _ := lookup(name)
+	return e.example, e.example != ""
 }
 
 // List returns all registered kinds in sorted order.

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mcs/internal/sim"
@@ -37,8 +39,8 @@ func (f *fakeScenario) Run(k *sim.Kernel) (*Result, error) {
 }
 
 func TestRegistryRegisterLookupList(t *testing.T) {
-	Register("test-alpha", func() Scenario { return &fakeScenario{name: "test-alpha"} })
-	Register("test-beta", func() Scenario { return &fakeScenario{name: "test-beta"} })
+	Register[Common]("test-alpha", "", func() Scenario { return &fakeScenario{name: "test-alpha"} })
+	Register[Common]("test-beta", "", func() Scenario { return &fakeScenario{name: "test-beta"} })
 	if _, ok := Lookup("test-alpha"); !ok {
 		t.Fatal("registered kind not found")
 	}
@@ -60,18 +62,18 @@ func TestRegistryRegisterLookupList(t *testing.T) {
 }
 
 func TestRegisterDuplicatePanics(t *testing.T) {
-	Register("test-dup", func() Scenario { return &fakeScenario{} })
+	Register[Common]("test-dup", "", func() Scenario { return &fakeScenario{} })
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate registration did not panic")
 		}
 	}()
-	Register("test-dup", func() Scenario { return &fakeScenario{} })
+	Register[Common]("test-dup", "", func() Scenario { return &fakeScenario{} })
 }
 
 func TestRunFillsEnvelope(t *testing.T) {
 	f := &fakeScenario{name: "test-env", metric: 4.5}
-	Register("test-env", func() Scenario { return f })
+	Register[Common]("test-env", "", func() Scenario { return f })
 	res, err := Run("test-env", 77, json.RawMessage(`{"kind":"test-env"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -98,11 +100,11 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run("test-nope", 0, nil); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	Register("test-cfgerr", func() Scenario { return &fakeScenario{cfgErr: errors.New("bad cfg")} })
+	Register[Common]("test-cfgerr", "", func() Scenario { return &fakeScenario{cfgErr: errors.New("bad cfg")} })
 	if _, err := Run("test-cfgerr", 0, nil); err == nil {
 		t.Error("configure error swallowed")
 	}
-	Register("test-runerr", func() Scenario { return &fakeScenario{runErr: errors.New("boom")} })
+	Register[Common]("test-runerr", "", func() Scenario { return &fakeScenario{runErr: errors.New("boom")} })
 	if _, err := Run("test-runerr", 0, nil); err == nil {
 		t.Error("run error swallowed")
 	}
@@ -124,7 +126,7 @@ func (r *runawayScenario) Run(k *sim.Kernel) (*Result, error) {
 // TestRunFailsOnEventBudget: a kind whose kernel stops on the event budget
 // fails through Run with sim.ErrBudget, and its result is not returned.
 func TestRunFailsOnEventBudget(t *testing.T) {
-	Register("test-runaway", func() Scenario { return &runawayScenario{} })
+	Register[Common]("test-runaway", "", func() Scenario { return &runawayScenario{} })
 	res, err := Run("test-runaway", 1, nil)
 	if !errors.Is(err, sim.ErrBudget) || res != nil {
 		t.Fatalf("runaway kind: result %v, error %v; want no result and sim.ErrBudget", res, err)
@@ -172,35 +174,91 @@ func TestResultJSONExcludesWallClock(t *testing.T) {
 	}
 }
 
-// countingSchemer counts the schema values Strict decodes into.
-type countingSchemer struct {
-	fakeScenario
-	decodes *int
+// countedSchema is the schema of the test-strict-count kind; it counts
+// the times a document is decoded into it.
+type countedSchema struct {
+	Common
+	X int `json:"x"`
 }
 
-func (c *countingSchemer) Schema() any {
-	*c.decodes++
-	return &struct {
-		Common
-		X int `json:"x"`
-	}{}
+var countedDecodes int
+
+func (c *countedSchema) UnmarshalJSON(raw []byte) error {
+	countedDecodes++
+	type plain countedSchema // drops this method, keeps the fields
+	return Decode(raw, (*plain)(c))
 }
 
-// TestStrictDecodesOncePerAssignment: Strict's decode work scales with a
-// sweep's grid assignments, not its cells — the repetition copies of an
-// assignment differ only in /seed, so one decode checks them all.
+// TestStrictDecodesOncePerAssignment: the sweep's cell check decodes the
+// base kind's registered schema once per grid assignment, not once per
+// cell — the repetition copies of an assignment differ only in /seed, so
+// one decode checks them all. Strict and the sweep's Configure share it.
 func TestStrictDecodesOncePerAssignment(t *testing.T) {
-	var decodes int
-	Register("test-strict-count", func() Scenario { return &countingSchemer{decodes: &decodes} })
+	Register[countedSchema]("test-strict-count", "", func() Scenario { return &fakeScenario{name: "test-strict-count"} })
 	for _, reps := range []int{0, 1, 7, 64} {
-		decodes = 0
-		doc := fmt.Sprintf(`{"kind": "sweep", "repetitions": %d,
-		  "base": {"kind": "test-strict-count"}, "grid": {"/x": [1, 2, 3]}}`, reps)
-		if err := Strict(json.RawMessage(doc)); err != nil {
+		doc := json.RawMessage(fmt.Sprintf(`{"kind": "sweep", "repetitions": %d,
+		  "base": {"kind": "test-strict-count"}, "grid": {"/x": [1, 2, 3]}}`, reps))
+		countedDecodes = 0
+		if err := Strict(doc); err != nil {
 			t.Fatal(err)
 		}
-		if decodes != 3 {
-			t.Errorf("repetitions %d: %d cell decodes, want 3 (one per assignment)", reps, decodes)
+		if countedDecodes != 3 {
+			t.Errorf("Strict, repetitions %d: %d cell decodes, want 3 (one per assignment)", reps, countedDecodes)
+		}
+		countedDecodes = 0
+		if _, err := New("sweep", doc); err != nil {
+			t.Fatal(err)
+		}
+		if countedDecodes != 3 {
+			t.Errorf("New, repetitions %d: %d cell decodes, want 3 (one per assignment)", reps, countedDecodes)
+		}
+	}
+}
+
+// countingRuns is a kind whose Run only counts its calls.
+type countingRuns struct {
+	fakeScenario
+	runs *atomic.Int64
+}
+
+func (c *countingRuns) Run(k *sim.Kernel) (*Result, error) {
+	c.runs.Add(1)
+	return c.fakeScenario.Run(k)
+}
+
+// TestSweepRefusesMisspelledCellBeforeAnyRun: an in-process sweep whose
+// grid names a field the base kind's schema does not declare, as a path
+// or inside one assignment's value, fails before any of its cells runs,
+// and the error names the field.
+func TestSweepRefusesMisspelledCellBeforeAnyRun(t *testing.T) {
+	type schema struct {
+		Common
+		Machines  int `json:"machines"`
+		Scheduler struct {
+			Queue string `json:"queue"`
+		} `json:"scheduler"`
+	}
+	var runs atomic.Int64
+	Register[schema]("test-count-runs", "", func() Scenario {
+		return &countingRuns{fakeScenario: fakeScenario{name: "test-count-runs"}, runs: &runs}
+	})
+	base := `{"kind": "test-count-runs", "machines": 4, "scheduler": {"queue": "sjf"}}`
+	good := `{"kind": "sweep", "parallel": 2, "base": ` + base + `, "grid": {"/machines": [4, 8]}}`
+	if _, err := RunDocument(json.RawMessage(good)); err != nil || runs.Load() != 2 {
+		t.Fatalf("well-formed sweep: %d runs, error %v; want 2 runs", runs.Load(), err)
+	}
+	for _, grid := range []string{
+		`{"/machnes": [4, 8]}`,
+		`{"/machines": [4, 8], "/scheduler": [{"queue": "sjf"}, {"queue": "fcfs", "machnes": 1}]}`,
+	} {
+		runs.Store(0)
+		doc := `{"kind": "sweep", "parallel": 2, "base": ` + base + `, "grid": ` + grid + `}`
+		_, err := RunDocument(json.RawMessage(doc))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "machnes"`) {
+			t.Errorf("grid %s: error %v does not name the misspelled field", grid, err)
+		}
+		if n := runs.Load(); n != 0 {
+			t.Errorf("grid %s: %d cells ran before the sweep failed", grid, n)
 		}
 	}
 }

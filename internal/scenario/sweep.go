@@ -126,6 +126,25 @@ func ExpandGrid(cfg SweepJSON) ([]Cell, error) {
 			parts[i] = fmt.Sprintf("%s=%s", p, compactJSON(cfg.Grid[p][idx[i]]))
 		}
 		assignKey := strings.Join(parts, ",")
+		// The repetitions of an assignment share its document and differ
+		// only in "seed", which each one sets before it is marshalled.
+		doc, err := applyCell(base, paths, idx, cfg.Grid)
+		if err != nil {
+			return nil, err
+		}
+		// A grid that sweeps /seed explicitly owns the seed: a single run
+		// gets the exact swept value; repetitions re-derive from it (keyed
+		// by #rep) so reps stay distinct runs either way.
+		seedBase, swept := cfg.Seed, gridHasSeed(paths)
+		if swept {
+			n, ok := doc["seed"].(json.Number)
+			if !ok {
+				return nil, fmt.Errorf("sweep: swept seed is not a number: %v", doc["seed"])
+			}
+			if seedBase, err = n.Int64(); err != nil {
+				return nil, fmt.Errorf("sweep: swept seed %v: %w", n, err)
+			}
+		}
 		for rep := 0; rep < reps; rep++ {
 			key := assignKey
 			if reps > 1 {
@@ -134,30 +153,9 @@ func ExpandGrid(cfg SweepJSON) ([]Cell, error) {
 				}
 				key += fmt.Sprintf("#%d", rep)
 			}
-			doc, err := applyCell(base, paths, idx, cfg.Grid)
-			if err != nil {
-				return nil, err
-			}
-			seed := DeriveSeed(cfg.Seed, key)
-			// A grid that sweeps /seed explicitly owns the seed: a single
-			// run gets the exact swept value; repetitions re-derive from
-			// it (keyed by #rep) so reps stay distinct runs either way.
-			if gridHasSeed(paths) {
-				n, ok := doc["seed"].(json.Number)
-				if !ok {
-					return nil, fmt.Errorf("sweep: swept seed is not a number: %v", doc["seed"])
-				}
-				s, err := n.Int64()
-				if err != nil {
-					return nil, fmt.Errorf("sweep: swept seed %v: %w", n, err)
-				}
-				if reps > 1 {
-					seed = DeriveSeed(s, key)
-					doc["seed"] = seed
-				} else {
-					seed = s
-				}
-			} else {
+			seed := seedBase
+			if !swept || reps > 1 {
+				seed = DeriveSeed(seedBase, key)
 				doc["seed"] = seed
 			}
 			raw, err := json.Marshal(doc)
@@ -306,18 +304,11 @@ type sweepScenario struct {
 }
 
 func init() {
-	Register("sweep", func() Scenario { return &sweepScenario{} })
+	Register[SweepJSON]("sweep", SweepExampleJSON, func() Scenario { return &sweepScenario{} })
 }
 
 // Name implements Scenario.
 func (s *sweepScenario) Name() string { return "sweep" }
-
-// Example implements Exampler.
-func (s *sweepScenario) Example() string { return SweepExampleJSON }
-
-// Schema implements Schemer (mcsim -strict). The base document and every
-// expanded cell are checked separately by Strict.
-func (s *sweepScenario) Schema() any { return &SweepJSON{} }
 
 // Configure implements Scenario.
 func (s *sweepScenario) Configure(raw json.RawMessage) error {
@@ -339,10 +330,12 @@ func (s *sweepScenario) Configure(raw json.RawMessage) error {
 // cell list in deterministic grid order. It is the shared front half of
 // every sweep driver — the in-process meta-scenario above and external
 // campaign runners (internal/dist) both start here, so they agree on cell
-// coordinates, documents, and derived seeds by construction.
+// coordinates, documents, and derived seeds by construction, and both
+// refuse a campaign with a misspelled field before any cell runs or is
+// dispatched.
 func ExpandSweepDocument(raw json.RawMessage) (SweepJSON, string, []Cell, error) {
 	var cfg SweepJSON
-	if err := json.Unmarshal(raw, &cfg); err != nil {
+	if err := Decode(raw, &cfg); err != nil {
 		return cfg, "", nil, err
 	}
 	if cfg.Failures != nil {
@@ -361,6 +354,20 @@ func ExpandSweepDocument(raw json.RawMessage) (SweepJSON, string, []Cell, error)
 	cells, err := ExpandGrid(cfg)
 	if err != nil {
 		return cfg, "", nil, err
+	}
+	// Every cell is checked against the base kind's schema, which catches
+	// a misspelled grid path too: it would otherwise sweep nothing. The
+	// repetitions of an assignment differ only in /seed, and ExpandGrid
+	// emits them innermost, so rep #0 of each assignment is decoded. The
+	// check only decodes: a coordinator never loads a trace file that only
+	// its workers have.
+	for i := 0; i < len(cells); i += max(cfg.Repetitions, 1) {
+		if err := check(env.Kind, cells[i].Doc); err != nil {
+			if cells[i].Key == "" {
+				return cfg, "", nil, err
+			}
+			return cfg, "", nil, fmt.Errorf("cell %q: %w", cells[i].Key, err)
+		}
 	}
 	return cfg, env.Kind, cells, nil
 }

@@ -65,8 +65,10 @@ func unpackPair(key uint64) (int32, int32) {
 	return int32(key >> 32), int32(uint32(key))
 }
 
-// hashKey is a Fibonacci multiply hash; the table index is the top bits
-// folded onto the mask.
+// hashKey is a Fibonacci multiply hash shifted right by 17, so the table
+// index (hashKey(key) & mask) is the log2(len) bits of the product that
+// start at bit 17, not its top bits. The shift fixes the table layout,
+// which reaches Communities' vote order and so the report bytes.
 func hashKey(key uint64) uint64 {
 	return (key * 0x9E3779B97F4A7C15) >> 17
 }

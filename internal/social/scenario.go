@@ -58,19 +58,16 @@ type socialScenario struct {
 }
 
 func init() {
-	scenario.Register("social", func() scenario.Scenario { return &socialScenario{} })
+	scenario.Register[ScenarioJSON]("social", ExampleJSON, func() scenario.Scenario { return &socialScenario{} })
 }
 
 // Name implements scenario.Scenario.
 func (s *socialScenario) Name() string { return "social" }
 
-// Example implements scenario.Exampler.
-func (s *socialScenario) Example() string { return ExampleJSON }
-
 // Configure implements scenario.Scenario.
 func (s *socialScenario) Configure(raw json.RawMessage) error {
 	var cfg ScenarioJSON
-	if err := json.Unmarshal(raw, &cfg); err != nil {
+	if err := scenario.Decode(raw, &cfg); err != nil {
 		return err
 	}
 	if err := cfg.RejectFailures("social"); err != nil {
@@ -113,9 +110,6 @@ func (s *socialScenario) Configure(raw json.RawMessage) error {
 	s.gap = time.Duration(cfg.GroupGapSeconds * float64(time.Second))
 	return nil
 }
-
-// Schema implements scenario.Schemer (mcsim -strict).
-func (s *socialScenario) Schema() any { return &ScenarioJSON{} }
 
 // Run implements scenario.Scenario: generate the workload from the kernel's
 // deterministic RNG, replay every submission as a kernel event feeding the
