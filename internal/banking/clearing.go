@@ -233,20 +233,17 @@ func RunClearingOn(k *sim.Kernel, pipeline []Stage, txs []Transaction, disc Queu
 		st.readmitH = func(sim.Time) { serveOrQueue(si, st.readmit.pop()) }
 	}
 
-	// Admit the arrival stream: one sorted kernel stream sharing a single
-	// handler and a cursor — zero per-arrival allocation, with firing order
-	// identical to scheduling each transaction in turn (same contiguous
-	// sequence block; see sim.ScheduleStream). The cursor is the handle.
-	at := make([]sim.Time, len(txs))
-	for i := range txs {
-		at[i] = txs[i].Arrive
-	}
+	// Admit the arrival stream: one sorted kernel stream that reads the
+	// column's arrival times in place and shares a single handler and a
+	// cursor — zero per-arrival allocation, with firing order identical to
+	// scheduling each transaction in turn (same contiguous sequence block;
+	// see sim.ScheduleStream). The cursor is the handle.
 	cursor := int32(0)
 	admit := func(sim.Time) {
 		serveOrQueue(0, cursor)
 		cursor++
 	}
-	if err := k.ScheduleStream(at, admit); err != nil {
+	if err := k.ScheduleStream(len(txs), func(i int) sim.Time { return txs[i].Arrive }, admit); err != nil {
 		return nil, fmt.Errorf("banking: schedule arrivals: %w", err)
 	}
 	k.Run()

@@ -123,7 +123,7 @@ type inflightRun struct {
 	st   *fnState
 	inst *instance
 	call *pendingCall
-	done *sim.Event
+	done sim.Event
 }
 
 type fnState struct {

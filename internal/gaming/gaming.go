@@ -349,11 +349,7 @@ func RunWorldOn(k *sim.Kernel, cfg WorldConfig) (*WorldResult, error) {
 		k.AfterFunc(session, departH[h])
 		k.AfterFunc(expDuration(k, cfg.MoveEveryMinutes), moveH[h])
 	}
-	at := make([]sim.Time, len(arrivals))
-	for i := range arrivals {
-		at[i] = arrivals[i].at
-	}
-	if err := k.ScheduleStream(at, arrive); err != nil {
+	if err := k.ScheduleStream(len(arrivals), func(i int) sim.Time { return arrivals[i].at }, arrive); err != nil {
 		return nil, err
 	}
 	k.RunUntil(sim.Time(cfg.Horizon))

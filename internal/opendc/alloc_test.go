@@ -16,13 +16,14 @@ const cellDoc = `{"kind": "datacenter", "machines": 16, "class": "commodity", "r
   "horizonSeconds": 86400}`
 
 // maxCellAllocsPerTask bounds a cell's allocations per task. Per-task
-// state lives in columns allocated once per run and the completion
-// handler is shared, so what is left per task is the kernel's
-// cancelable completion event (one per attempt) plus the run's constant
-// set-up spread over the tasks: 338 allocations for 237 tasks, 1.43 per
-// task, with Go 1.24. A per-task map, closure or queue entry coming back
-// adds at least one allocation per task and fails this.
-const maxCellAllocsPerTask = 1.6
+// state lives in columns allocated once per run, the completion handler is
+// shared, and a task's cancelable completion event takes a recycled kernel
+// slot, so nothing is allocated per task at all: what is left is the run's
+// constant set-up spread over the tasks, 89 allocations for 237 tasks
+// (0.38 per task) with Go 1.24. A per-task map, closure, queue entry or
+// event allocation coming back adds at least one allocation per task and
+// fails this.
+const maxCellAllocsPerTask = 0.42
 
 // TestCellAllocationsPerTask runs one campaign cell through RunOn and
 // bounds its allocations per task.

@@ -130,7 +130,7 @@ type engine struct {
 	jobOf     []int32 // position → job index
 	records   []TaskRecord
 	queued    []sched.QueuedTask // one per task; makeReady hands it out
-	done      []*sim.Event       // completion of the running attempt
+	done      []sim.Event        // completion of the running attempt
 	remaining []int32            // unfinished dependency count
 	// The positions waiting on p are depList[depStart[p]:depStart[p+1]],
 	// in task order.
@@ -291,11 +291,7 @@ func RunOn(k *sim.Kernel, sc *Scenario) (*Result, error) {
 	// are ordered by submit time, so the submit column is already sorted and
 	// same-instant jobs fire in slice order.
 	jobs := sc.Workload.Jobs
-	submits := make([]sim.Time, len(jobs))
-	for i := range jobs {
-		submits[i] = jobs[i].Submit
-	}
-	if err := e.k.ScheduleStream(submits, func(now sim.Time) {
+	if err := e.k.ScheduleStream(len(jobs), func(i int) sim.Time { return jobs[i].Submit }, func(now sim.Time) {
 		e.submitJob(now)
 	}); err != nil {
 		return nil, fmt.Errorf("opendc: schedule submits: %w", err)
@@ -326,12 +322,8 @@ func RunOn(k *sim.Kernel, sc *Scenario) (*Result, error) {
 			order[i] = i
 		}
 		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(events[a].At, events[b].At) })
-		at := make([]sim.Time, len(order))
-		for j, i := range order {
-			at[j] = events[i].At
-		}
 		nextFailure := 0
-		if err := e.k.ScheduleStream(at, func(now sim.Time) {
+		if err := e.k.ScheduleStream(len(order), func(j int) sim.Time { return events[order[j]].At }, func(now sim.Time) {
 			fe := events[order[nextFailure]]
 			nextFailure++
 			e.failMachines(fe, now)
@@ -399,7 +391,7 @@ func (e *engine) index(jobs []workload.Job) {
 	e.jobOf = make([]int32, n)
 	e.records = make([]TaskRecord, n)
 	e.queued = make([]sched.QueuedTask, n)
-	e.done = make([]*sim.Event, n)
+	e.done = make([]sim.Event, n)
 	e.remaining = make([]int32, n)
 	e.depStart = make([]int32, n+1)
 	// The queue never outgrows the tasks, and the running set never
@@ -632,9 +624,9 @@ func (e *engine) start(qt *sched.QueuedTask, m *dcmodel.Machine, now sim.Time) b
 	rec.Attempts++
 	qt.Attempts++
 	e.runningCores += qt.Task.Cores
-	done := e.k.MustSchedule(e.execTime(qt.Task, m), e.onDone)
-	e.done[qt.Pos] = done
-	e.addRunning(done.At(), qt.Pos, mi, qt.Task.Cores)
+	exec := e.execTime(qt.Task, m)
+	e.done[qt.Pos] = e.k.MustSchedule(exec, e.onDone)
+	e.addRunning(now+exec, qt.Pos, mi, qt.Task.Cores)
 	return true
 }
 
@@ -676,7 +668,6 @@ func (e *engine) complete(now sim.Time) {
 	}
 	e.byDone = e.byDone[:last]
 	pos := r.pos
-	e.done[pos] = nil
 	qt := &e.queued[pos]
 	m := e.machines[r.machine]
 	e.accrueUtil(now)
@@ -732,7 +723,6 @@ func (e *engine) failMachines(fe failure.Event, now sim.Time) {
 		slices.SortFunc(victims, e.byTaskID)
 		for _, pos := range victims {
 			e.k.Cancel(e.done[pos])
-			e.done[pos] = nil
 			qt := &e.queued[pos]
 			e.runningCores -= qt.Task.Cores
 			rec := &e.records[pos]

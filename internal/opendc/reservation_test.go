@@ -22,11 +22,12 @@ type engineV0 struct {
 type runningV0 struct {
 	qt      *sched.QueuedTask
 	machine *dcmodel.Machine
-	done    *sim.Event
+	at      sim.Time // the completion time, which V0 read off its event
 }
 
 // reservationTime is the engine's reservationTime as it was before the
-// completion index, verbatim: the reference the index is checked against.
+// completion index, verbatim but for reading the completion time from the
+// running entry: the reference the index is checked against.
 func (e *engineV0) reservationTime(qt *sched.QueuedTask, now sim.Time) sim.Time {
 	type release struct {
 		at    sim.Time
@@ -35,7 +36,7 @@ func (e *engineV0) reservationTime(qt *sched.QueuedTask, now sim.Time) sim.Time 
 	}
 	var releases []release
 	for _, r := range e.running {
-		releases = append(releases, release{at: r.done.At(), cores: r.qt.Task.Cores, m: r.machine})
+		releases = append(releases, release{at: r.at, cores: r.qt.Task.Cores, m: r.machine})
 	}
 	// Sort by completion time (insertion sort; running set is modest).
 	for i := 1; i < len(releases); i++ {
@@ -80,7 +81,6 @@ func checkReservation(t *testing.T, seed int64, nMachines, nRunning, request uin
 	}
 	cluster := &dcmodel.Cluster{Name: "c", Machines: machines}
 	const horizon = 48 * time.Hour
-	k := sim.New(seed)
 	e := &engine{machines: machines, free: make([]int, len(machines)), horizon: horizon}
 	v0 := &engineV0{
 		scenario: &Scenario{Cluster: cluster},
@@ -95,12 +95,8 @@ func checkReservation(t *testing.T, seed int64, nMachines, nRunning, request uin
 			continue
 		}
 		at := time.Duration(1+r.Intn(12)) * time.Minute
-		done, err := k.ScheduleAt(at, func(sim.Time) {})
-		if err != nil {
-			t.Fatal(err)
-		}
 		task := &workload.Task{ID: workload.TaskID(i + 1), Cores: cores}
-		v0.running[task.ID] = &runningV0{qt: &sched.QueuedTask{Task: task}, machine: m, done: done}
+		v0.running[task.ID] = &runningV0{qt: &sched.QueuedTask{Task: task}, machine: m, at: at}
 		e.addRunning(at, i, mi, cores)
 	}
 	for _, m := range machines {

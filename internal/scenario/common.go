@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 
@@ -67,7 +68,7 @@ const DefaultKind = "datacenter"
 func ParseCommon(raw json.RawMessage) (Common, error) {
 	var c Common
 	if err := json.Unmarshal(raw, &c); err != nil {
-		return c, fmt.Errorf("scenario: parse envelope: %w", pointerError(raw, err))
+		return c, fmt.Errorf("scenario: parse envelope: %w", pointerError(raw, nil, err))
 	}
 	if c.Kind == "" {
 		c.Kind = DefaultKind
@@ -89,14 +90,15 @@ func (c Common) RejectParallel(kind string) error {
 // Decode is the one decode of a scenario document: it fills v, a pointer
 // to the kind's schema, from raw with unknown fields disallowed, so a
 // misspelled field fails the run instead of leaving its default in place,
-// and names a mistyped value by its JSON pointer. Every kind's Configure
+// and names a mistyped value, or an unknown field below the top level, by
+// its JSON pointer. Every kind's Configure
 // and the sweep expander decode through it; only ParseCommon, which reads
 // just the envelope of a document that carries more, stays lenient.
 func Decode(raw json.RawMessage, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return pointerError(raw, err)
+		return pointerError(raw, reflect.TypeOf(v), err)
 	}
 	if len(bytes.Trim(raw[dec.InputOffset():], " \t\r\n")) > 0 {
 		return errors.New("json: invalid data after top-level value")
@@ -135,18 +137,104 @@ func Strict(raw json.RawMessage) error {
 
 // pointerError rewrites a JSON type error to name the offending value by
 // its JSON pointer in the document (/seed, /sites/1/machines) instead of
-// the Go struct field it failed to fill. Other errors pass through. The
-// decoder reports type errors only on syntactically valid input, so the
-// walk over raw meets no token error.
-func pointerError(raw []byte, err error) error {
+// the Go struct field it failed to fill, and an unknown field nested below
+// the top level (/sites/1/machnes), where the decoder names only the key,
+// by its pointer found against schema, the type decoded into. Other errors
+// pass through. The decoder reports these errors only on syntactically
+// valid input, so the walks over raw meet no token error.
+func pointerError(raw []byte, schema reflect.Type, err error) error {
 	var te *json.UnmarshalTypeError
-	if !errors.As(err, &te) {
+	if errors.As(err, &te) {
+		if ptr, ok := pointerAt(json.NewDecoder(bytes.NewReader(raw)), "", te.Offset); ok && ptr != "" {
+			return fmt.Errorf("json: %s: cannot unmarshal %s into %s", ptr, te.Value, te.Type)
+		}
 		return err
 	}
-	if ptr, ok := pointerAt(json.NewDecoder(bytes.NewReader(raw)), "", te.Offset); ok && ptr != "" {
-		return fmt.Errorf("json: %s: cannot unmarshal %s into %s", ptr, te.Value, te.Type)
+	quoted, ok := strings.CutPrefix(err.Error(), "json: unknown field ")
+	if !ok {
+		return err
 	}
-	return err
+	name, uerr := strconv.Unquote(quoted)
+	ptr, found := unknownAt(json.NewDecoder(bytes.NewReader(raw)), schema, "")
+	if uerr != nil || !found || strings.Count(ptr, "/") < 2 || !strings.HasSuffix(ptr, "/"+pointerEscaper.Replace(name)) {
+		return err
+	}
+	return fmt.Errorf("json: %s: unknown field %s", ptr, quoted)
+}
+
+var unmarshalerType = reflect.TypeFor[json.Unmarshaler]()
+
+// unknownAt walks the value dec reads next, whose pointer is path, against
+// type t and returns the pointer of the first object key in document order
+// that its level of t does not declare. A nil t, an interface or a type
+// with its own UnmarshalJSON accepts anything below it.
+func unknownAt(dec *json.Decoder, t reflect.Type, path string) (string, bool) {
+	for t != nil && t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	if t != nil && (t.Kind() == reflect.Interface || reflect.PointerTo(t).Implements(unmarshalerType)) {
+		t = nil
+	}
+	tok, err := dec.Token()
+	if err != nil || (tok != json.Delim('{') && tok != json.Delim('[')) {
+		return "", false
+	}
+	for i := 0; dec.More(); i++ {
+		child := path + "/" + strconv.Itoa(i)
+		var ct reflect.Type
+		if t != nil && (t.Kind() == reflect.Slice || t.Kind() == reflect.Array || t.Kind() == reflect.Map) {
+			ct = t.Elem()
+		}
+		if tok == json.Delim('{') {
+			key, _ := dec.Token() // an object key: a string on valid input
+			name, _ := key.(string)
+			child = path + "/" + pointerEscaper.Replace(name)
+			if t != nil && t.Kind() == reflect.Struct {
+				var ok bool
+				if ct, ok = fieldType(t, name); !ok {
+					return child, true
+				}
+			}
+		}
+		if p, ok := unknownAt(dec, ct, child); ok {
+			return p, true
+		}
+	}
+	dec.Token() // the closing delimiter
+	return "", false
+}
+
+// fieldType returns the type of struct t's field that the JSON key name
+// fills, matching names as encoding/json does (its tag name or Go name,
+// case-insensitively, through embedded structs).
+func fieldType(t reflect.Type, name string) (reflect.Type, bool) {
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		tag, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if tag == "-" {
+			continue
+		}
+		ft := f.Type
+		if ft.Kind() == reflect.Pointer {
+			ft = ft.Elem()
+		}
+		if f.Anonymous && tag == "" && ft.Kind() == reflect.Struct {
+			if typ, ok := fieldType(ft, name); ok {
+				return typ, true
+			}
+			continue
+		}
+		if !f.IsExported() {
+			continue
+		}
+		if tag == "" {
+			tag = f.Name
+		}
+		if strings.EqualFold(tag, name) {
+			return f.Type, true
+		}
+	}
+	return nil, false
 }
 
 var pointerEscaper = strings.NewReplacer("~", "~0", "/", "~1")

@@ -273,8 +273,9 @@ func TestFailureConfigErrorsNameFieldAndKind(t *testing.T) {
 
 // TestStrictRejectsUnknownFields pins that the strict decode names the
 // offending key for misspelled fields, at the top level, inside the
-// failures section, and inside every expanded sweep cell, and names a
-// mistyped value by its JSON pointer, never by the Go struct field.
+// failures section, and inside every expanded sweep cell, names a nested
+// unknown field by its JSON pointer, and names a mistyped value by its
+// JSON pointer, never by the Go struct field.
 func TestStrictRejectsUnknownFields(t *testing.T) {
 	good := `{"kind": "banking", "transactions": 100, "seed": 1}`
 	if err := scenario.Strict(json.RawMessage(good)); err != nil {
@@ -300,6 +301,8 @@ func TestStrictRejectsUnknownFields(t *testing.T) {
 		{"mistyped nested field", `{"workload": {"jobs": "x"}}`, "/workload/jobs: cannot unmarshal"},
 		{"mistyped schema field", `{"kind": "datacenter", "machines": "x"}`, "/machines: cannot unmarshal"},
 		{"mistyped array element", `{"kind": "federation", "sites": [{"name": "a"}, {"name": "b", "machines": "x"}]}`, "/sites/1/machines: cannot"},
+		{"unknown field in array element", `{"kind": "federation", "sites": [{"name": "a"}, {"name": "b", "machnes": 4}]}`, `/sites/1/machnes: unknown field "machnes"`},
+		{"unknown field in nested object", `{"kind": "datacenter", "failures": {"mtbf": {"maen": 3600}}}`, `/failures/mtbf/maen: unknown field "maen"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -81,9 +81,9 @@ func TestAfterFuncNegativeDelayPanics(t *testing.T) {
 	New(1).AfterFunc(-time.Second, func(Time) {})
 }
 
-// TestEventPoolRecycles verifies that fire-and-forget events are recycled:
-// a long chain of AfterFunc events must not grow the free list beyond the
-// chain's width.
+// TestEventPoolRecycles verifies that heap events recycle their slab
+// slots: a long chain of heap events, fire-and-forget and handle-bearing,
+// must not grow the slab beyond the chain's width.
 func TestEventPoolRecycles(t *testing.T) {
 	k := New(1)
 	n := 0
@@ -91,20 +91,20 @@ func TestEventPoolRecycles(t *testing.T) {
 	step = func(Time) {
 		n++
 		if n < 10000 {
-			k.AfterFunc(time.Millisecond, step)
+			if n%2 == 0 {
+				k.AfterFunc(time.Second, step) // past the wheel horizon: heap
+			} else {
+				k.MustSchedule(time.Millisecond, step)
+			}
 		}
 	}
-	k.AfterFunc(time.Millisecond, step)
+	k.AfterFunc(time.Second, step)
 	k.Run()
 	if n != 10000 {
 		t.Fatalf("chain ran %d steps, want 10000", n)
 	}
-	depth := 0
-	for ev := k.free; ev != nil; ev = ev.next {
-		depth++
-	}
-	if depth > 2 {
-		t.Errorf("free list depth %d after a width-1 chain; recycling broken", depth)
+	if len(k.slab) > 2 {
+		t.Errorf("slab holds %d slots after a width-1 chain; recycling broken", len(k.slab))
 	}
 }
 
@@ -146,7 +146,7 @@ func TestMixedAPIDeterminism(t *testing.T) {
 			case 1:
 				k.MustSchedule(Time(k.Rand().Intn(50))*time.Millisecond, step)
 			default:
-				if err := k.ScheduleStream([]Time{now + time.Millisecond}, step); err != nil {
+				if err := scheduleTimes(k, []Time{now + time.Millisecond}, step); err != nil {
 					t.Fatal(err)
 				}
 			}

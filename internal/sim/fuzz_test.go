@@ -4,10 +4,12 @@ package sim
 // (paper §5.3, C15–C16: a hot-path rewrite is only safe if it is
 // byte-identical to its predecessor under every schedule). A byte program
 // decodes into a deterministic schedule of Schedule/AfterFunc/ScheduleStream/
-// Cancel/Step/RunUntil operations — including zero delays, same-instant
-// collisions, nested in-handler scheduling, delays straddling the wheel
-// horizon, and malformed (unsorted or past) streams that must be rejected
-// whole — and replays it through the timing-wheel kernel, the heap-only
+// NewTicker/Cancel/Stop/step/RunUntil operations — including zero delays,
+// same-instant collisions, nested in-handler scheduling, delays straddling
+// the wheel horizon, cancels through stale handles whose slot holds a new
+// event, tickers stopped from inside and outside their handlers, and
+// malformed (unsorted or past) streams that must be rejected whole — and
+// replays it through the timing-wheel kernel, the heap-only
 // kernel, and the naive sorted-slice reference (reference_test.go). Any
 // difference in firing order, firing times, stream rejections, final clock,
 // or pending count is a bug.
@@ -27,7 +29,8 @@ type kernelDriver interface {
 	Schedule(delay Time, fn Handler) (cancel func(), ok bool)
 	AfterFunc(delay Time, fn Handler)
 	ScheduleStream(at []Time, fn Handler) bool
-	Step() bool
+	NewTicker(period Time, fn Handler) (stop func())
+	Step() bool // fires the next event, if any
 	RunUntil(horizon Time)
 	Run()
 }
@@ -45,9 +48,12 @@ func (d realDriver) Schedule(delay Time, fn Handler) (func(), bool) {
 }
 func (d realDriver) AfterFunc(delay Time, fn Handler) { d.k.AfterFunc(delay, fn) }
 func (d realDriver) ScheduleStream(at []Time, fn Handler) bool {
-	return d.k.ScheduleStream(at, fn) == nil
+	return scheduleTimes(d.k, at, fn) == nil
 }
-func (d realDriver) Step() bool            { return d.k.Step() }
+func (d realDriver) NewTicker(period Time, fn Handler) func() {
+	return NewTicker(d.k, period, fn).Stop
+}
+func (d realDriver) Step() bool            { return d.k.step(maxTime) == stepFired }
 func (d realDriver) RunUntil(horizon Time) { d.k.RunUntil(horizon) }
 func (d realDriver) Run()                  { d.k.Run() }
 
@@ -66,6 +72,9 @@ func (d refDriver) AfterFunc(delay Time, fn Handler) { d.r.insert(d.r.now+delay,
 func (d refDriver) ScheduleStream(at []Time, fn Handler) bool {
 	return d.r.scheduleStream(at, fn)
 }
+func (d refDriver) NewTicker(period Time, fn Handler) func() {
+	return d.r.newTicker(period, fn)
+}
 func (d refDriver) Step() bool            { return d.r.step() }
 func (d refDriver) RunUntil(horizon Time) { d.r.runUntil(horizon) }
 func (d refDriver) Run()                  { d.r.run() }
@@ -79,8 +88,11 @@ type fireRec struct {
 type replayResult struct {
 	trace    []fireRec
 	rejected int // streams refused at admission
-	now      Time
-	pending  int
+	// tickers and staleCancels count tickers started and cancels through
+	// the stale handle of a fired event, so a test can see both happen.
+	tickers, staleCancels int
+	now                   Time
+	pending               int
 }
 
 // progDelay maps a program byte to a delay covering every routing regime:
@@ -107,18 +119,35 @@ type replayState struct {
 	d        kernelDriver
 	data     []byte
 	trace    []fireRec
-	cancels  []func()
-	nextID   int
-	nestedAt int
-	fired    int
-	maxFired int
-	rejected int
+	cancels  []func() // handle cancels and ticker stops
+	handleOf map[int]func()
+	// lastFired cancels through the handle of the handle event that fired
+	// last: stale, and in the kernel its slot is the likeliest to be reused.
+	lastFired   func()
+	tickers     []func() // stops of the tickers started, running or not
+	liveTickers int
+	nextID      int
+	nestedAt    int
+	fired       int
+	maxFired    int
+	rejected    int
+	// staleCancels counts cancels through lastFired.
+	staleCancels int
 }
 
 func (r *replayState) newID() int {
 	id := r.nextID
 	r.nextID++
 	return id
+}
+
+// schedule schedules a handle event for a new id and keeps its cancel.
+func (r *replayState) schedule(delay Time) {
+	id := r.newID()
+	if cancel, ok := r.d.Schedule(delay, r.handler(id)); ok {
+		r.cancels = append(r.cancels, cancel)
+		r.handleOf[id] = cancel
+	}
 }
 
 // stream admits a pre-drawn timeline the way the engines do: one shared
@@ -154,6 +183,9 @@ func (r *replayState) nestedByte() byte {
 func (r *replayState) handler(id int) Handler {
 	return func(now Time) {
 		r.trace = append(r.trace, fireRec{id: id, at: now})
+		if cancel, ok := r.handleOf[id]; ok {
+			r.lastFired = cancel
+		}
 		r.fired++
 		if r.fired > r.maxFired {
 			return
@@ -164,9 +196,7 @@ func (r *replayState) handler(id int) Handler {
 		case 1:
 			r.d.AfterFunc(progDelay(arg), r.handler(r.newID()))
 		case 2:
-			if cancel, ok := r.d.Schedule(progDelay(arg), r.handler(r.newID())); ok {
-				r.cancels = append(r.cancels, cancel)
-			}
+			r.schedule(progDelay(arg))
 		case 3:
 			if len(r.cancels) > 0 {
 				r.cancels[int(arg)%len(r.cancels)]()
@@ -185,7 +215,7 @@ func replay(d kernelDriver, data []byte) replayResult {
 	if len(data) == 0 {
 		return replayResult{}
 	}
-	r := &replayState{d: d, data: data, maxFired: 6*len(data) + 64}
+	r := &replayState{d: d, data: data, maxFired: 6*len(data) + 64, handleOf: map[int]func(){}}
 	pc := 0
 	next := func() byte {
 		if pc >= len(data) {
@@ -197,13 +227,11 @@ func replay(d kernelDriver, data []byte) replayResult {
 	}
 	for pc < len(data) {
 		op, arg := next(), next()
-		switch op % 8 {
+		switch op % 10 {
 		case 0, 1: // weighted: fire-and-forget dominates real models
 			d.AfterFunc(progDelay(arg), r.handler(r.newID()))
 		case 2:
-			if cancel, ok := d.Schedule(progDelay(arg), r.handler(r.newID())); ok {
-				r.cancels = append(r.cancels, cancel)
-			}
+			r.schedule(progDelay(arg))
 		case 3:
 			// A short non-decreasing stream; arg occasionally malforms it
 			// (unsorted, or starting in the past), which every kernel must
@@ -235,10 +263,44 @@ func replay(d kernelDriver, data []byte) replayResult {
 			at := d.Now() + 257*Time(time.Millisecond)
 			r.stream([]Time{at, at})
 			d.AfterFunc(progDelay(arg), r.handler(r.newID()))
+		case 8:
+			// A fresh handle event, which in the kernel takes the most
+			// recently freed slot, then a cancel through the stale handle
+			// of the last handle event that fired: it must cancel nothing.
+			r.schedule(progDelay(arg))
+			if r.lastFired != nil {
+				r.lastFired()
+				r.staleCancels++
+			}
+		case 9:
+			// Start a ticker, or stop one; at most four run at once, so a
+			// program's tick count stays bounded.
+			if arg%2 == 0 && r.liveTickers < 4 {
+				stopTicker := d.NewTicker(10*Time(time.Millisecond)+progDelay(arg), r.handler(r.newID()))
+				r.liveTickers++
+				stopped := false
+				stop := func() {
+					if !stopped {
+						stopped = true
+						r.liveTickers--
+					}
+					stopTicker() // a second Stop must do nothing
+				}
+				r.tickers = append(r.tickers, stop)
+				r.cancels = append(r.cancels, stop)
+			} else if len(r.tickers) > 0 {
+				r.tickers[int(arg/2)%len(r.tickers)]()
+			}
 		}
 	}
+	for _, stop := range r.tickers {
+		stop()
+	}
 	d.Run()
-	return replayResult{trace: r.trace, rejected: r.rejected, now: d.Now(), pending: d.Pending()}
+	return replayResult{
+		trace: r.trace, rejected: r.rejected, now: d.Now(), pending: d.Pending(),
+		tickers: len(r.tickers), staleCancels: r.staleCancels,
+	}
 }
 
 // kernelVariants returns the kernel configurations under differential test.
@@ -322,16 +384,20 @@ func FuzzKernelOrdering(f *testing.F) {
 // of pseudorandom programs through the same differential harness.
 func TestKernelDifferentialPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
-	rejected := 0
+	var rejected, tickers, staleCancels int
 	for i := 0; i < 60; i++ {
 		data := make([]byte, 20+rng.Intn(500))
 		rng.Read(data)
 		data = append(data, byte(i)) // touch every opcode phase across runs
 		t.Run(fmt.Sprintf("program-%02d", i), func(t *testing.T) {
-			rejected += runDifferential(t, data).rejected
+			res := runDifferential(t, data)
+			rejected += res.rejected
+			tickers += res.tickers
+			staleCancels += res.staleCancels
 		})
 	}
-	if rejected == 0 {
-		t.Error("no program exercised a rejected stream")
+	if rejected == 0 || tickers == 0 || staleCancels == 0 {
+		t.Errorf("programs exercised %d rejected streams, %d tickers and %d stale cancels; want some of each",
+			rejected, tickers, staleCancels)
 	}
 }

@@ -7,35 +7,34 @@
 // Determinism is an MCS methodological requirement (paper §5.3, C15–C16:
 // reproducible simulation-based experimentation).
 //
-// The hot path is tuned for throughput. Four complementary mechanisms keep
-// heap churn off the critical loop:
+// Every scheduled event lives in one of five sources, and step merges them
+// strictly by (time, sequence number), so the firing order never depends on
+// which source an event landed in:
 //
-//   - AfterFunc is a fire-and-forget scheduling API whose events never escape
-//     the kernel, so they are recycled through an internal free list instead
-//     of pressuring the garbage collector.
-//   - AfterFunc with zero delay (the "run next, at this instant" pattern that
-//     dominates reactive models) bypasses the priority queue entirely and
-//     goes through an O(1) FIFO ring.
-//   - AfterFunc with a short positive delay goes into a timing wheel
-//     (wheel.go): O(1) per-tick bucket inserts instead of heap sift-ups,
-//     with the binary heap as the hierarchy's overflow level for far-future
-//     events. The wheel is observationally invisible — Step merges all
-//     sources strictly by (time, sequence) — and can be disabled with
-//     WithoutTimingWheel.
-//   - ScheduleStream is the one admission path for a pre-drawn, time-sorted
-//     timeline (workload arrivals, failure traces): one shared handler
-//     behind a cursor (stream.go), zero allocation per item, with a reserved
-//     sequence block making it observationally identical to scheduling each
-//     item with ScheduleAt in slice order.
-//
-// Schedule/ScheduleAt/MustSchedule retain their original semantics: they
-// return a cancelable *Event handle the caller may hold indefinitely, so
-// those events are never recycled and never enter the wheel.
+//   - the heap: a 4-ary min-heap of pointer-free (at, seq, slot) entries
+//     over a slab of recycled slots holding the handlers. Schedule,
+//     ScheduleAt and MustSchedule return a value handle (slot, generation)
+//     into the slab; a slot is reused once its event fired or its canceled
+//     entry left the heap, and the generation makes a stale handle's Cancel
+//     a no-op. Sifting moves keys only, so the heap costs the garbage
+//     collector nothing.
+//   - the immediate ring: AfterFunc with zero delay (the "run next, at this
+//     instant" pattern that dominates reactive models) is an O(1) append.
+//   - the timing wheel (wheel.go): AfterFunc with a short positive delay
+//     goes into per-tick buckets, with the heap as the overflow level for
+//     far-future events. WithoutTimingWheel disables it.
+//   - streams (stream.go): ScheduleStream admits a pre-drawn, time-sorted
+//     timeline (workload arrivals, failure traces) read from the caller's
+//     own column, one shared handler, zero allocation per item.
+//   - tickers (process.go): a running Ticker is its own source, re-armed
+//     with a fresh sequence number after each tick.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -51,29 +50,15 @@ type Time = time.Duration
 // current virtual time, which equals the time the event was scheduled for.
 type Handler func(now Time)
 
-// Event is a scheduled occurrence in virtual time. Events are created through
-// Kernel.Schedule and friends and can be canceled until they fire.
+// Event is a handle to a scheduled occurrence in virtual time, returned by
+// Kernel.Schedule and friends, for Cancel. It is a small value: copy it,
+// keep it in a column, compare it with the zero Event. Once the event fired
+// or was canceled the handle is stale, and canceling through a stale or
+// zero handle does nothing. A handle belongs to the kernel that returned it.
 type Event struct {
-	at       Time
-	seq      uint64
-	canceled bool
-	// fired marks handle-bearing events that have already executed, so a
-	// late Cancel does not corrupt the kernel's live-event accounting.
-	fired bool
-	// pooled marks events created through the fire-and-forget AfterFunc;
-	// no handle escapes, so the kernel recycles them through the free list
-	// after they fire.
-	pooled bool
-	fn     Handler
-	// next links events on the kernel's free list.
-	next *Event
+	slot uint32 // slab index + 1; 0 in the zero handle
+	gen  uint32 // the slot's generation when the event was scheduled
 }
-
-// At returns the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
-// Canceled reports whether the event has been canceled.
-func (e *Event) Canceled() bool { return e.canceled }
 
 // ErrPastEvent is returned when scheduling an event before the current
 // virtual time.
@@ -98,11 +83,30 @@ type immEvent struct {
 	fn  Handler
 }
 
+// heapEntry is one heap event: its ordering key inline and the slab slot
+// that holds its handler. It holds no pointer.
+type heapEntry struct {
+	at   Time
+	seq  uint64
+	slot uint32
+}
+
+// slabSlot holds a heap event's handler. fn is nil once the event is
+// canceled; gen advances each time the event fires or is canceled, which
+// makes every handle to it stale; next links free slots (index + 1).
+type slabSlot struct {
+	fn   Handler
+	gen  uint32
+	next uint32
+}
+
 // Kernel is a discrete-event simulation executor. The zero value is not
 // usable; construct one with New.
 type Kernel struct {
-	now   Time
-	queue eventQueue
+	now  Time
+	heap []heapEntry
+	slab []slabSlot
+	free uint32 // head of the free slot list (index + 1; 0 when empty)
 	// imm is the immediate ring: zero-delay AfterFunc events awaiting
 	// execution at the current instant. immHead indexes the front. Virtual
 	// time cannot advance while the ring is non-empty, which is what makes
@@ -114,15 +118,16 @@ type Kernel struct {
 	wheel *timingWheel
 	// streams holds the live sorted arrival streams (see stream.go);
 	// exhausted streams are dropped as their last item fires.
-	streams   []*eventStream
+	streams []*eventStream
+	// tickers holds the running tickers (see process.go).
+	tickers   []*Ticker
 	seq       uint64
 	rng       *rand.Rand
 	processed uint64
 	maxEvents uint64 // the event budget; EventBudget unless a test sets it
 	err       error  // the budget stop, once Run or RunUntil hits one
-	free      *Event // recycled pooled events
-	// canceledQueued counts canceled handle events still occupying heap
-	// slots, so Pending can report live events without compacting.
+	// canceledQueued counts canceled events still holding heap entries, so
+	// Pending can report live events without compacting.
 	canceledQueued int
 	// stats, when non-nil, accumulates per-path dispatch telemetry
 	// (internal/obs). Nil by default: the unobserved hot path pays one
@@ -146,10 +151,9 @@ func WithKernelStats(st *obs.KernelStats) Option {
 }
 
 // WithoutTimingWheel disables the timing wheel: every positive-delay event
-// goes to the binary heap. Firing order is identical either way (that is
-// the wheel's correctness contract, enforced by the differential fuzz
-// harness); the option exists for differential testing and as an escape
-// hatch.
+// goes to the heap. Firing order is identical either way (that is the
+// wheel's correctness contract, enforced by the differential fuzz harness);
+// the option exists for differential testing and as an escape hatch.
 func WithoutTimingWheel() Option {
 	return func(k *Kernel) { k.wheel = nil }
 }
@@ -180,15 +184,21 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 func (k *Kernel) Processed() uint64 { return k.processed }
 
 // Pending returns the number of live events currently scheduled across the
-// heap, the immediate ring, the timing wheel, and any admitted streams.
-// Canceled events awaiting lazy removal from the heap are not counted.
+// heap, the immediate ring, the timing wheel, admitted streams and running
+// tickers. Canceled events awaiting lazy removal from the heap are not
+// counted, nor is a ticker while its own handler runs.
 func (k *Kernel) Pending() int {
-	n := len(k.queue) - k.canceledQueued + len(k.imm) - k.immHead
+	n := len(k.heap) - k.canceledQueued + len(k.imm) - k.immHead
 	if k.wheel != nil {
 		n += k.wheel.count
 	}
 	for _, s := range k.streams {
-		n += len(s.at) - s.head
+		n += s.n - s.head
+	}
+	for _, t := range k.tickers {
+		if !t.firing {
+			n++
+		}
 	}
 	return n
 }
@@ -207,43 +217,24 @@ func (k *Kernel) MaxEvents() uint64 { return k.maxEvents }
 // code that creates a kernel checks Err before it reports on the run.
 func (k *Kernel) Err() error { return k.err }
 
-// budgetStop records that the budget cut the run short.
-func (k *Kernel) budgetStop() {
-	if k.err == nil {
-		k.err = fmt.Errorf("%w: %d events fired by t=%v", ErrBudget, k.maxEvents, k.now)
-	}
-}
-
 // Schedule arranges for fn to run after delay. A negative delay is an error.
-func (k *Kernel) Schedule(delay Time, fn Handler) (*Event, error) {
+func (k *Kernel) Schedule(delay Time, fn Handler) (Event, error) {
 	return k.ScheduleAt(k.now+delay, fn)
 }
 
 // ScheduleAt arranges for fn to run at absolute virtual time at. Events
 // scheduled for the same instant fire in scheduling order (FIFO).
-func (k *Kernel) ScheduleAt(at Time, fn Handler) (*Event, error) {
+func (k *Kernel) ScheduleAt(at Time, fn Handler) (Event, error) {
 	if at < k.now {
-		return nil, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, k.now)
+		return Event{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, k.now)
 	}
-	k.seq++
-	ev := &Event{at: at, seq: k.seq, fn: fn}
-	k.queue.push(ev)
-	return ev, nil
-}
-
-// rearm re-queues a handle event that has already fired, for absolute time
-// at. It stamps the event exactly as ScheduleAt stamps a fresh one, so
-// firing order, Pending and Cancel behave as if a new event had been
-// scheduled, without the allocation.
-func (k *Kernel) rearm(ev *Event, at Time, fn Handler) {
-	k.seq++
-	ev.at, ev.seq, ev.fn, ev.fired = at, k.seq, fn, false
-	k.queue.push(ev)
+	slot := k.heapAdd(at, fn)
+	return Event{slot: slot + 1, gen: k.slab[slot].gen}, nil
 }
 
 // MustSchedule is Schedule for callers that know delay is non-negative; it
 // panics on programmer error instead of returning one.
-func (k *Kernel) MustSchedule(delay Time, fn Handler) *Event {
+func (k *Kernel) MustSchedule(delay Time, fn Handler) Event {
 	ev, err := k.Schedule(delay, fn)
 	if err != nil {
 		panic(err)
@@ -252,8 +243,7 @@ func (k *Kernel) MustSchedule(delay Time, fn Handler) *Event {
 }
 
 // AfterFunc arranges for fn to run after delay, without returning a handle.
-// It is the fire-and-forget fast path: the backing event is recycled through
-// the kernel's free list after it fires, a zero delay (run at this very
+// It is the fire-and-forget fast path: a zero delay (run at this very
 // instant, after everything already scheduled for it) skips the priority
 // queue for an O(1) ring append, and a short positive delay lands in the
 // timing wheel's per-tick buckets instead of the heap. Use it for the bulk
@@ -273,92 +263,106 @@ func (k *Kernel) AfterFunc(delay Time, fn Handler) {
 	if k.wheelAdd(at, fn) {
 		return
 	}
-	k.queue.push(k.allocEvent(at, fn))
+	k.heapAdd(at, fn)
 }
 
-// allocEvent takes a pooled event off the free list (or allocates one) and
-// stamps it with the next sequence number.
-func (k *Kernel) allocEvent(at Time, fn Handler) *Event {
-	ev := k.free
-	if ev != nil {
-		k.free = ev.next
-		ev.next = nil
-		ev.canceled = false
-		ev.fired = false
+// heapAdd stamps fn with the next sequence number, files it in a slab slot
+// (a free one if any) and pushes its heap entry; it returns the slot.
+func (k *Kernel) heapAdd(at Time, fn Handler) uint32 {
+	slot := k.free
+	if slot != 0 {
+		slot--
+		s := &k.slab[slot]
+		k.free = s.next
+		s.fn = fn
 	} else {
-		ev = &Event{pooled: true}
+		slot = uint32(len(k.slab))
+		k.slab = append(k.slab, slabSlot{fn: fn, gen: 1})
 	}
 	k.seq++
-	ev.at, ev.seq, ev.fn = at, k.seq, fn
-	return ev
+	k.heapPush(heapEntry{at: at, seq: k.seq, slot: slot})
+	return slot
 }
 
-// recycle returns a pooled event to the free list; handle-bearing events are
-// left for the garbage collector since callers may still reference them.
-func (k *Kernel) recycle(ev *Event) {
-	if !ev.pooled {
-		return
-	}
-	ev.fn = nil
-	ev.next = k.free
-	k.free = ev
+// release puts a slot whose heap entry was popped back on the free list,
+// advancing its generation so that every handle to it goes stale.
+func (k *Kernel) release(slot uint32) {
+	s := &k.slab[slot]
+	s.fn = nil
+	s.gen++
+	s.next = k.free
+	k.free = slot + 1
 }
 
-// Cancel prevents a scheduled event from firing. Canceling an already-fired
-// or already-canceled event is a no-op.
-func (k *Kernel) Cancel(ev *Event) {
-	if ev == nil || ev.canceled || ev.fired {
+// Cancel prevents a scheduled event from firing. Canceling through a handle
+// whose event already fired or was canceled, or through the zero Event, is
+// a no-op.
+func (k *Kernel) Cancel(ev Event) {
+	i := int(ev.slot) - 1
+	if i < 0 || i >= len(k.slab) || k.slab[i].gen != ev.gen {
 		return
 	}
-	ev.canceled = true
-	ev.fn = nil // release references early
+	s := &k.slab[i]
+	s.fn = nil // release references early; the heap entry stays until it surfaces
+	s.gen++
 	k.canceledQueued++
 	if k.stats != nil {
 		k.stats.Canceled++
 	}
 }
 
-// Sources the four-way merge in Step can draw the next event from.
+// Sources the merge in step can draw the next event from.
 const (
 	srcNone = iota
 	srcImm
 	srcHeap
 	srcWheel
 	srcStream
+	srcTicker
 )
 
-// Step executes the next event, if any, advancing the clock to its time.
-// It reports whether an event was executed.
-//
-// The next event is the least (time, sequence) across the four queues: the
-// immediate ring (due at the current instant), the binary heap, the timing
-// wheel, and the admitted stream heads. The strict merge is what makes the
-// wheel and the streams observationally invisible: firing order never
-// depends on which queue an event landed in.
-func (k *Kernel) Step() bool {
-	// Drop canceled events from the heap top so the merge compares live
-	// candidates only. Canceled events are always handle-bearing (never
-	// pooled), so there is nothing to recycle.
-	for len(k.queue) > 0 && k.queue[0].canceled {
-		k.canceledQueued--
-		k.queue.pop()
-	}
-	src := srcNone
-	var at Time
-	var seq uint64
-	if k.immHead < len(k.imm) {
+// Outcomes of step.
+const (
+	stepIdle  = iota // no event is due by the horizon
+	stepFired        // one event fired
+	stepCut          // an event is due, but the budget is spent
+)
+
+// maxTime is a horizon no event lies past.
+const maxTime = Time(math.MaxInt64)
+
+// step fires the next event due by horizon, advancing the clock to its
+// time. The next event is the least (time, sequence) across the five
+// sources: the immediate ring (due at the current instant), the heap, the
+// timing wheel, the admitted stream heads and the running tickers. The
+// strict merge is what makes the wheel, the streams and the tickers
+// observationally invisible: firing order never depends on which source an
+// event landed in. step declines, firing nothing, when no event is due by
+// horizon, or when one is but the event budget is spent; that second case
+// is recorded for Err.
+func (k *Kernel) step(horizon Time) int {
+	// The best candidate so far starts as a sentinel every event due by
+	// horizon beats.
+	src, at, seq := srcNone, horizon, uint64(math.MaxUint64)
+	if k.immHead < len(k.imm) && k.now <= horizon {
 		src, at, seq = srcImm, k.now, k.imm[k.immHead].seq
 	}
-	if len(k.queue) > 0 {
-		if ev := k.queue[0]; src == srcNone || ev.at < at || (ev.at == at && ev.seq < seq) {
-			src, at, seq = srcHeap, ev.at, ev.seq
+	// Drop canceled entries from the heap top so the merge compares live
+	// candidates only.
+	for k.canceledQueued > 0 && len(k.heap) > 0 && k.slab[k.heap[0].slot].fn == nil {
+		k.canceledQueued--
+		k.release(k.heapPop().slot)
+	}
+	if len(k.heap) > 0 {
+		if e := &k.heap[0]; before(e.at, e.seq, at, seq) {
+			src, at, seq = srcHeap, e.at, e.seq
 		}
 	}
 	if w := k.wheel; w != nil && w.count > 0 {
 		var wev *wheelEvent
 		if w.curTick >= 0 {
 			wev = &w.buckets[w.curTick&wheelMask][w.curHead]
-		} else if t := w.scan(k.now); src == srcNone || Time(t)*wheelTick <= at {
+		} else if t := w.scan(k.now); Time(t)*wheelTick <= at {
 			// Only sort the bucket when it can actually win the merge: if
 			// the best candidate so far fires before the bucket's start,
 			// the wheel is out of the race this step.
@@ -368,17 +372,32 @@ func (k *Kernel) Step() bool {
 			}
 			wev = &w.buckets[t&wheelMask][0]
 		}
-		if wev != nil && (src == srcNone || wev.at < at || (wev.at == at && wev.seq < seq)) {
+		if wev != nil && before(wev.at, wev.seq, at, seq) {
 			src, at, seq = srcWheel, wev.at, wev.seq
 		}
 	}
 	var str *eventStream
 	for _, s := range k.streams {
-		sat, sseq := s.at[s.head], s.base+1+uint64(s.head)
-		if src == srcNone || sat < at || (sat == at && sseq < seq) {
-			src, at, seq, str = srcStream, sat, sseq, s
+		if sseq := s.base + 1 + uint64(s.head); before(s.next, sseq, at, seq) {
+			src, at, seq, str = srcStream, s.next, sseq, s
 		}
 	}
+	var tk *Ticker
+	for _, t := range k.tickers {
+		if before(t.at, t.seq, at, seq) {
+			src, at, seq, tk = srcTicker, t.at, t.seq, t
+		}
+	}
+	if src == srcNone {
+		return stepIdle
+	}
+	if k.processed >= k.maxEvents {
+		if k.err == nil {
+			k.err = fmt.Errorf("%w: %d events fired by t=%v", ErrBudget, k.maxEvents, k.now)
+		}
+		return stepCut
+	}
+	k.processed++
 	switch src {
 	case srcImm:
 		front := &k.imm[k.immHead]
@@ -389,44 +408,39 @@ func (k *Kernel) Step() bool {
 			k.imm = k.imm[:0]
 			k.immHead = 0
 		}
-		k.processed++
 		fn(k.now)
 	case srcHeap:
-		ev := k.queue.pop()
-		k.now = ev.at
-		ev.fired = true
-		k.processed++
-		fn := ev.fn
-		ev.fn = nil
-		k.recycle(ev)
-		fn(k.now)
-	case srcWheel:
-		at, fn := k.wheel.pop()
+		slot := k.heapPop().slot
+		fn := k.slab[slot].fn
+		k.release(slot)
 		k.now = at
-		k.processed++
-		fn(k.now)
+		fn(at)
+	case srcWheel:
+		fn := k.wheel.pop()
+		k.now = at
+		fn(at)
 	case srcStream:
 		fn := k.streamPop(str)
 		k.now = at
-		k.processed++
-		fn(k.now)
-	default:
-		return false
+		fn(at)
+	case srcTicker:
+		k.now = at
+		tk.fire(at)
 	}
 	if st := k.stats; st != nil {
 		k.noteDispatch(st, src)
 	}
-	return true
+	return stepFired
 }
 
 // noteDispatch records one fired event's source path and drives the
-// heartbeat hook. Kept out of Step's switch so the disabled path is a
+// heartbeat hook. Kept out of step's switch so the disabled path is a
 // single nil check.
 func (k *Kernel) noteDispatch(st *obs.KernelStats, src int) {
 	switch src {
 	case srcImm:
 		st.ImmediateDispatched++
-	case srcHeap:
+	case srcHeap, srcTicker:
 		st.HeapDispatched++
 	case srcWheel:
 		st.WheelDispatched++
@@ -443,13 +457,7 @@ func (k *Kernel) noteDispatch(st *obs.KernelStats, src int) {
 // stop with events still scheduled is recorded for Err.
 func (k *Kernel) Run() uint64 {
 	start := k.processed
-	for k.processed < k.maxEvents {
-		if !k.Step() {
-			return k.processed - start
-		}
-	}
-	if k.Pending() > 0 {
-		k.budgetStop()
+	for k.step(maxTime) == stepFired {
 	}
 	return k.processed - start
 }
@@ -461,121 +469,83 @@ func (k *Kernel) Run() uint64 {
 // Err and leaves the clock where the stop happened.
 func (k *Kernel) RunUntil(horizon Time) uint64 {
 	start := k.processed
-	for {
-		next, ok := k.peek()
-		if !ok || next > horizon {
-			break
-		}
-		if k.processed >= k.maxEvents {
-			k.budgetStop()
-			return k.processed - start
-		}
-		k.Step()
+	r := k.step(horizon)
+	for r == stepFired {
+		r = k.step(horizon)
 	}
-	if k.now < horizon {
+	if r == stepIdle && k.now < horizon {
 		k.now = horizon
 	}
 	return k.processed - start
 }
 
-// peek returns the time of the next non-canceled event across all queues.
-func (k *Kernel) peek() (Time, bool) {
-	if k.immHead < len(k.imm) {
-		return k.now, true
-	}
-	for len(k.queue) > 0 && k.queue[0].canceled {
-		k.canceledQueued--
-		k.queue.pop()
-	}
-	var at Time
-	ok := false
-	if len(k.queue) > 0 {
-		at, ok = k.queue[0].at, true
-	}
-	if w := k.wheel; w != nil && w.count > 0 {
-		if w.curTick >= 0 {
-			if wat := w.buckets[w.curTick&wheelMask][w.curHead].at; !ok || wat < at {
-				at, ok = wat, true
-			}
-		} else if t := w.scan(k.now); !ok || Time(t)*wheelTick < at {
-			// Prime (sort) only when the bucket could actually hold the
-			// earliest event; when the heap front is due at or before the
-			// bucket's start it already is the minimum time.
-			w.prime(t)
-			if k.stats != nil {
-				k.stats.WheelRotations++
-			}
-			if wat := w.buckets[t&wheelMask][0].at; !ok || wat < at {
-				at, ok = wat, true
-			}
-		}
-	}
-	for _, s := range k.streams {
-		if sat := s.at[s.head]; !ok || sat < at {
-			at, ok = sat, true
-		}
-	}
-	return at, ok
-}
-
-// eventQueue is a hand-rolled binary min-heap ordered by (time, sequence
-// number), which makes simultaneous events fire in FIFO order. It avoids the
-// interface indirection of container/heap on the kernel's hottest path.
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q *eventQueue) push(ev *Event) {
-	*q = append(*q, ev)
-	q.up(len(*q) - 1)
-}
-
-func (q *eventQueue) pop() *Event {
-	old := *q
-	n := len(old) - 1
-	ev := old[0]
-	old[0] = old[n]
-	old[n] = nil
-	*q = old[:n]
-	if n > 0 {
-		q.down(0)
-	}
-	return ev
-}
-
-func (q eventQueue) up(i int) {
+// heapPush and heapPop keep k.heap a 4-ary min-heap ordered by (time,
+// sequence number), which makes simultaneous events fire in FIFO order.
+// The sifts move a hole rather than swapping, and the entries carry their
+// keys inline, so a comparison reads no pointer and a move writes none.
+func (k *Kernel) heapPush(e heapEntry) {
+	h := append(k.heap, e)
+	i := len(h) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		p := (i - 1) / 4
+		if earlier(&e, &h[p]) == 0 {
 			break
 		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
+		h[i] = h[p]
+		i = p
 	}
+	h[i] = e
+	k.heap = h
 }
 
-func (q eventQueue) down(i int) {
-	n := len(q)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		least := left
-		if right := left + 1; right < n && q.less(right, left) {
-			least = right
-		}
-		if !q.less(least, i) {
-			return
-		}
-		q[i], q[least] = q[least], q[i]
-		i = least
+func (k *Kernel) heapPop() heapEntry {
+	h := k.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	k.heap = h
+	if n == 0 {
+		return top
 	}
+	i := 0
+	for {
+		c := 4*i + 1
+		var m int
+		if c+3 < n {
+			// A full family: a branch-free tournament over the four.
+			a := c + earlier(&h[c+1], &h[c])
+			b := c + 2 + earlier(&h[c+3], &h[c+2])
+			m = a + (b-a)*earlier(&h[b], &h[a])
+		} else if c < n {
+			m = c
+			for j := c + 1; j < n; j++ {
+				m += (j - m) * earlier(&h[j], &h[m])
+			}
+		} else {
+			break
+		}
+		if earlier(&last, &h[m]) == 1 {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = last
+	return top
+}
+
+// before reports whether the event keyed (at, seq) fires before the one
+// keyed (bestAt, bestSeq).
+func before(at Time, seq uint64, bestAt Time, bestSeq uint64) bool {
+	return at < bestAt || (at == bestAt && seq < bestSeq)
+}
+
+// earlier is 1 when a fires before b, by (time, sequence number), and 0
+// otherwise. It subtracts the 128-bit keys and reads the borrow, so it
+// compiles without a branch; times are never negative.
+func earlier(a, b *heapEntry) int {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return int(borrow)
 }

@@ -62,10 +62,41 @@ func TestKernelCancel(t *testing.T) {
 	if fired {
 		t.Error("canceled event fired")
 	}
-	if !ev.Canceled() {
-		t.Error("event not marked canceled")
-	}
 	k.Cancel(ev) // double-cancel is a no-op
+	k.Cancel(Event{})
+	if k.Pending() != 0 {
+		t.Errorf("pending=%d after the canceled event drained, want 0", k.Pending())
+	}
+}
+
+// TestCancelStaleHandleAfterSlotReuse: a handle whose event fired or was
+// canceled stays stale after its slot holds a new event, so canceling
+// through it leaves the new event alone.
+func TestCancelStaleHandleAfterSlotReuse(t *testing.T) {
+	k := New(1)
+	var fired []int
+	first := k.MustSchedule(time.Second, func(Time) { fired = append(fired, 1) })
+	k.Run()
+	second := k.MustSchedule(time.Second, func(Time) { fired = append(fired, 2) })
+	if first.slot != second.slot {
+		t.Fatalf("the second event took slot %d, not the freed slot %d", second.slot, first.slot)
+	}
+	k.Cancel(first)
+	k.Cancel(second)
+	k.Run() // drops the canceled entry, freeing the slot again
+	third := k.MustSchedule(time.Second, func(Time) { fired = append(fired, 3) })
+	if third.slot != second.slot {
+		t.Fatalf("the third event took slot %d, not the freed slot %d", third.slot, second.slot)
+	}
+	k.Cancel(first)
+	k.Cancel(second)
+	if k.Pending() != 1 {
+		t.Fatalf("pending=%d after stale cancels, want 1", k.Pending())
+	}
+	k.Run()
+	if len(fired) != 2 || fired[0] != 1 || fired[1] != 3 {
+		t.Fatalf("fired %v, want [1 3]", fired)
+	}
 }
 
 func TestKernelRunUntilAdvancesClock(t *testing.T) {
@@ -384,7 +415,7 @@ func TestPendingAcrossQueues(t *testing.T) {
 	if k.Pending() != 5 {
 		t.Fatalf("pending=%d after cancel, want 5", k.Pending())
 	}
-	if !k.Step() { // drains the immediate event
+	if k.step(maxTime) != stepFired { // drains the immediate event
 		t.Fatal("step found nothing")
 	}
 	if k.Pending() != 4 {
@@ -401,7 +432,7 @@ func TestPendingAcrossQueues(t *testing.T) {
 func TestPendingSkipsCanceledHeapEvents(t *testing.T) {
 	k := New(1)
 	noop := func(Time) {}
-	evs := make([]*Event, 3)
+	evs := make([]Event, 3)
 	for i := range evs {
 		evs[i] = k.MustSchedule(Time(i+1)*Time(time.Second), noop)
 	}
@@ -441,5 +472,34 @@ func TestWithoutTimingWheel(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("firing order %v, want %v", got, want)
 		}
+	}
+}
+
+// TestSteadyStateHandleEventsAllocateNothing: once the heap and the slab
+// have grown to their working size, a handle event scheduled and canceled,
+// a timer reset, and a ticker's tick allocate nothing per event — fired and
+// canceled slots are reused.
+func TestSteadyStateHandleEventsAllocateNothing(t *testing.T) {
+	k := New(1)
+	noop := func(Time) {}
+	tm := NewTimer(k, noop)
+	NewTicker(k, time.Millisecond, noop)
+	var churn Handler
+	churn = func(Time) {
+		k.Cancel(k.MustSchedule(time.Second, noop))
+		k.MustSchedule(time.Millisecond, churn)
+		tm.Reset(time.Second)
+	}
+	k.MustSchedule(time.Millisecond, churn)
+	k.RunUntil(2 * time.Second) // warm up past the first timeouts
+	fired := k.Processed()
+	allocs := testing.AllocsPerRun(100, func() {
+		k.RunUntil(k.Now() + 10*time.Millisecond)
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per 10 ms of churn, want 0", allocs)
+	}
+	if n := k.Processed() - fired; n < 101*20 {
+		t.Errorf("%d events fired while measuring, want at least %d", n, 101*20)
 	}
 }

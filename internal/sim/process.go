@@ -5,15 +5,28 @@ package sim
 // patterns in the ecosystem models (monitoring loops, idle timeouts) without
 // each model re-deriving them.
 
+import "slices"
+
 // Ticker invokes a handler at a fixed period until stopped. It is the
 // simulated analogue of time.Ticker and drives monitoring and control loops
 // (paper P4: self-awareness needs periodic sensing).
+//
+// A running ticker is one of the kernel's merge sources, not a heap event:
+// it holds its next tick's (time, sequence) key itself and takes a fresh
+// sequence number after each tick's handler returns, exactly as if the
+// handler's last act were to schedule the next tick with ScheduleAt. It
+// is observationally identical to that re-scheduling
+// (TestTickerMatchesHandRescheduling), and a tick counts as a heap
+// dispatch in the kernel's telemetry.
 type Ticker struct {
-	k       *Kernel
-	period  Time
-	fn      Handler
-	tick    Handler
-	next    *Event
+	k      *Kernel
+	period Time
+	fn     Handler
+	at     Time   // the next tick
+	seq    uint64 // the next tick's sequence number
+	// firing is set while the tick handler runs: the tick has left the
+	// queue and the next one is not yet armed.
+	firing  bool
 	stopped bool
 }
 
@@ -25,35 +38,49 @@ func NewTicker(k *Kernel, period Time, fn Handler) *Ticker {
 		t.stopped = true
 		return t
 	}
-	t.tick = func(now Time) {
-		if t.stopped {
-			return
-		}
-		t.fn(now)
-		if !t.stopped {
-			// The handle just fired, so nothing else references it: re-arm
-			// it in place rather than allocating a fresh event per tick.
-			t.k.rearm(t.next, now+t.period, t.tick)
-		}
-	}
-	t.next = k.MustSchedule(period, t.tick)
+	t.arm(k.now)
+	k.tickers = append(k.tickers, t)
 	return t
 }
 
-// Stop halts the ticker; no further ticks fire.
+// arm stamps the tick one period after now with the next sequence number.
+func (t *Ticker) arm(now Time) {
+	t.k.seq++
+	t.at, t.seq = now+t.period, t.k.seq
+}
+
+// fire runs one tick at now and re-arms the ticker unless the handler
+// stopped it.
+func (t *Ticker) fire(now Time) {
+	t.firing = true
+	t.fn(now)
+	t.firing = false
+	if !t.stopped {
+		t.arm(now)
+	}
+}
+
+// Stop halts the ticker; no further ticks fire. Stopping an armed ticker
+// counts as one cancel in the kernel's telemetry.
 func (t *Ticker) Stop() {
 	if t.stopped {
 		return
 	}
 	t.stopped = true
-	t.k.Cancel(t.next)
+	k := t.k
+	if i := slices.Index(k.tickers, t); i >= 0 {
+		k.tickers = slices.Delete(k.tickers, i, i+1)
+	}
+	if !t.firing && k.stats != nil {
+		k.stats.Canceled++
+	}
 }
 
 // Timer is a single-shot, resettable timeout. It backs idle-timeout logic
 // such as FaaS instance reaping.
 type Timer struct {
 	k  *Kernel
-	ev *Event
+	ev Event
 	fn Handler
 }
 
@@ -64,14 +91,12 @@ func NewTimer(k *Kernel, fn Handler) *Timer {
 
 // Reset (re)arms the timer to fire after delay, canceling any pending firing.
 func (t *Timer) Reset(delay Time) {
-	t.Stop()
+	t.k.Cancel(t.ev)
 	t.ev = t.k.MustSchedule(delay, t.fn)
 }
 
 // Stop disarms the timer if it is armed.
 func (t *Timer) Stop() {
-	if t.ev != nil {
-		t.k.Cancel(t.ev)
-		t.ev = nil
-	}
+	t.k.Cancel(t.ev)
+	t.ev = Event{}
 }

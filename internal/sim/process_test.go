@@ -13,7 +13,7 @@ type handTicker struct {
 	k       *Kernel
 	period  Time
 	fn      Handler
-	next    *Event
+	next    Event
 	stopped bool
 }
 

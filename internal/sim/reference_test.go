@@ -3,7 +3,7 @@ package sim
 // This file provides the differential-testing oracle: a deliberately naive
 // kernel that keeps every event in one sorted slice and fires strictly by
 // (time, sequence). It has no heap, no immediate ring, no timing wheel and
-// no free list — nothing to get wrong — so its firing order defines the
+// no slot slab — nothing to get wrong — so its firing order defines the
 // semantics the optimized kernel must reproduce byte-for-byte. The fuzz
 // harness (fuzz_test.go) replays random schedules through both and fails on
 // the first divergence.
@@ -123,4 +123,25 @@ func (r *refKernel) pending() int {
 		}
 	}
 	return n
+}
+
+// newTicker re-schedules fn every period, each time after fn returns, until
+// the returned stop cancels the next tick.
+func (r *refKernel) newTicker(period Time, fn Handler) (stop func()) {
+	stopped := false
+	var next *refEvent
+	var tick Handler
+	tick = func(now Time) {
+		fn(now)
+		if !stopped {
+			next = r.insert(now+period, tick)
+		}
+	}
+	next = r.insert(r.now+period, tick)
+	return func() {
+		if !stopped {
+			stopped = true
+			r.cancel(next)
+		}
+	}
 }

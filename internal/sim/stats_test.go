@@ -20,7 +20,7 @@ func TestKernelStatsCountDispatchPaths(t *testing.T) {
 	k.AfterFunc(5*Time(time.Millisecond), func(Time) {})    // timing wheel
 	k.AfterFunc(10*Time(time.Second), func(Time) {})        // past horizon -> heap
 	k.MustSchedule(1*Time(time.Millisecond), func(Time) {}) // handle-bearing -> heap
-	if err := k.ScheduleStream([]Time{Time(2 * time.Second)}, func(Time) {}); err != nil {
+	if err := scheduleTimes(k, []Time{Time(2 * time.Second)}, func(Time) {}); err != nil {
 		t.Fatal(err)
 	}
 	ev := k.MustSchedule(3*Time(time.Second), func(Time) {})
@@ -99,7 +99,7 @@ func TestKernelStatsDoNotPerturbExecution(t *testing.T) {
 		k.AfterFunc(2*Time(time.Millisecond), record(2))
 		k.MustSchedule(1*Time(time.Millisecond), record(3))
 		k.AfterFunc(500*Time(time.Millisecond), record(4)) // heap overflow
-		if err := k.ScheduleStream([]Time{Time(time.Millisecond), Time(time.Second)}, func(Time) {
+		if err := scheduleTimes(k, []Time{Time(time.Millisecond), Time(time.Second)}, func(Time) {
 			order = append(order, 5)
 		}); err != nil {
 			t.Fatal(err)

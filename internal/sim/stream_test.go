@@ -6,6 +6,11 @@ import (
 	"time"
 )
 
+// scheduleTimes admits the times in at as one stream.
+func scheduleTimes(k *Kernel, at []Time, fn Handler) error {
+	return k.ScheduleStream(len(at), func(i int) Time { return at[i] }, fn)
+}
+
 // TestScheduleStreamMatchesPerItemScheduleAt is the stream's determinism
 // proof: the same sorted arrival set admitted as a stream and as the
 // per-item ScheduleAt loop the engines used before streams must fire in the
@@ -36,7 +41,7 @@ func TestScheduleStreamMatchesPerItemScheduleAt(t *testing.T) {
 		}
 		if useStream {
 			cursor := 0
-			if err := k.ScheduleStream(arrivals, func(now Time) {
+			if err := scheduleTimes(k, arrivals, func(now Time) {
 				id := cursor
 				cursor++
 				log = append(log, record{"arrive", id, now})
@@ -94,7 +99,7 @@ func TestScheduleStreamAccounting(t *testing.T) {
 	k := New(1)
 	arrivals := []Time{Time(time.Second), Time(2 * time.Second), Time(5 * time.Second)}
 	fired := 0
-	if err := k.ScheduleStream(arrivals, func(Time) { fired++ }); err != nil {
+	if err := scheduleTimes(k, arrivals, func(Time) { fired++ }); err != nil {
 		t.Fatal(err)
 	}
 	if got := k.Pending(); got != 3 {
@@ -119,18 +124,18 @@ func TestScheduleStreamAccounting(t *testing.T) {
 // TestScheduleStreamValidation covers the all-or-nothing admission errors.
 func TestScheduleStreamValidation(t *testing.T) {
 	k := New(1)
-	if err := k.ScheduleStream(nil, func(Time) {}); err != nil {
+	if err := scheduleTimes(k, nil, func(Time) {}); err != nil {
 		t.Errorf("empty stream: %v", err)
 	}
-	if err := k.ScheduleStream([]Time{0}, nil); err == nil {
+	if err := scheduleTimes(k, []Time{0}, nil); err == nil {
 		t.Error("nil handler accepted")
 	}
-	if err := k.ScheduleStream([]Time{Time(2 * time.Second), Time(time.Second)}, func(Time) {}); err == nil {
+	if err := scheduleTimes(k, []Time{Time(2 * time.Second), Time(time.Second)}, func(Time) {}); err == nil {
 		t.Error("unsorted stream accepted")
 	}
 	k.AfterFunc(Time(time.Second), func(Time) {})
 	k.Run()
-	if err := k.ScheduleStream([]Time{0}, func(Time) {}); err == nil {
+	if err := scheduleTimes(k, []Time{0}, func(Time) {}); err == nil {
 		t.Error("past stream item accepted")
 	}
 	if got := k.Pending(); got != 0 {

@@ -3,11 +3,11 @@ package sim
 // This file implements the timing-wheel front-end of the event queue: a ring
 // of per-tick buckets that absorbs the dense short-delay fire-and-forget
 // traffic (gaming move/session events, FaaS completions, pipeline hand-offs)
-// with O(1) inserts, while the binary heap remains the overflow level of the
+// with O(1) inserts, while the heap remains the overflow level of the
 // hierarchy for far-future and handle-bearing events.
 //
 // Determinism contract: the wheel must be observationally invisible. The
-// kernel merges wheel, heap, immediate ring, and stream heads strictly by
+// kernel merges wheel, heap, immediate ring, stream heads and tickers strictly by
 // (time, sequence number), and within a bucket events are sorted by the same key before they
 // drain, so the firing order is byte-identical to a heap-only kernel under
 // every schedule. internal/sim's differential fuzz harness
@@ -41,9 +41,8 @@ const (
 )
 
 // wheelEvent is a fire-and-forget event stored by value in a wheel bucket.
-// Keeping the ordering key inline (no *Event indirection) makes the bucket
-// sort compare without pointer chasing and spares the free list entirely —
-// a wheel event is never allocated as an Event at all.
+// Keeping the ordering key inline makes the bucket sort compare without
+// pointer chasing, and a wheel event takes no slab slot at all.
 type wheelEvent struct {
 	at  Time
 	seq uint64
@@ -142,7 +141,7 @@ func (w *timingWheel) scan(now Time) int64 {
 }
 
 // prime sorts tick t's bucket and points the cursor at its head. Priming is
-// deliberately lazy — Step skips it entirely when the heap or immediate ring
+// deliberately lazy — step skips it entirely when the heap or immediate ring
 // is due before the bucket even starts, so a bucket still accumulating
 // inserts is not repeatedly re-sorted.
 func (w *timingWheel) prime(t int64) {
@@ -150,14 +149,14 @@ func (w *timingWheel) prime(t int64) {
 	w.curTick, w.curHead = t, 0
 }
 
-// pop removes and returns the cursor's event. The caller (Step) must have
+// pop removes the cursor's event and returns its handler. The caller (step) must have
 // primed the cursor in the same step — it selects the wheel only after
 // comparing the primed bucket's head against the other queues.
-func (w *timingWheel) pop() (Time, Handler) {
+func (w *timingWheel) pop() Handler {
 	slot := w.curTick & wheelMask
 	b := w.buckets[slot]
 	ev := &b[w.curHead]
-	at, fn := ev.at, ev.fn
+	fn := ev.fn
 	ev.fn = nil // release the closure before the bucket idles
 	w.curHead++
 	w.count--
@@ -168,7 +167,7 @@ func (w *timingWheel) pop() (Time, Handler) {
 		w.curTick = -1
 		w.curHead = 0
 	}
-	return at, fn
+	return fn
 }
 
 // sortBucket orders a bucket by (time, seq) — the kernel's global firing

@@ -191,17 +191,14 @@ func (s *socialScenario) Run(k *sim.Kernel) (*scenario.Result, error) {
 // (expired entries are always a prefix, because events fire in time order),
 // and all submissions are admitted as one kernel stream whose single handler
 // walks the uid column by cursor — so a steady-state event touches no maps,
-// no strings, and allocates nothing. The arrival times and uids live in two
-// flat columns (12 bytes a submission), and the kernel holds no Event per
-// submission. Returns the graph and the id→name table.
+// no strings, and allocates nothing. The uids live in one flat column (4
+// bytes a submission), the stream reads the submit times from the workload
+// in place, and the kernel holds no event per submission. Returns the graph
+// and the id→name table.
 func (s *socialScenario) buildPairGraphOn(k *sim.Kernel, w *workload.Workload) (*PairGraph, []string, error) {
 	g := NewPairGraph(0, 0)
 	uid := make(map[string]int32, 64)
 	names := make([]string, 0, 64)
-	// A valid workload is ordered by submit time (Workload.Validate), so the
-	// times column is already the sorted stream, same-instant jobs in job
-	// order; ScheduleStream rejects it loudly if not.
-	at := make([]sim.Time, len(w.Jobs))
 	uids := make([]int32, len(w.Jobs))
 	for i := range w.Jobs {
 		u := w.Jobs[i].User
@@ -211,7 +208,6 @@ func (s *socialScenario) buildPairGraphOn(k *sim.Kernel, w *workload.Workload) (
 			uid[u] = id
 			names = append(names, u)
 		}
-		at[i] = sim.Time(w.Jobs[i].Submit)
 		uids[i] = id
 	}
 
@@ -221,7 +217,11 @@ func (s *socialScenario) buildPairGraphOn(k *sim.Kernel, w *workload.Workload) (
 		head      int
 		cursor    int
 	)
-	err := k.ScheduleStream(at, func(now sim.Time) {
+	// A valid workload is ordered by submit time (Workload.Validate), so the
+	// submit column is already the sorted stream, same-instant jobs in job
+	// order; ScheduleStream rejects it loudly if not.
+	jobs := w.Jobs
+	err := k.ScheduleStream(len(jobs), func(i int) sim.Time { return jobs[i].Submit }, func(now sim.Time) {
 		u := uids[cursor]
 		cursor++
 		g.AddActor(u)
