@@ -26,25 +26,23 @@ import (
 
 // BenchmarkKernelThroughput measures raw kernel event throughput with a
 // fleet of self-rescheduling actors — the access pattern every ecosystem
-// model produces. The "schedule" variant uses the handle-returning API; the
-// "afterfunc" variant uses the fire-and-forget fast path, whose short
-// millisecond delays land in the timing wheel; "afterfunc-nowheel" runs the
-// same workload on the heap-only kernel, isolating the wheel's
-// contribution; "afterfunc-far" keeps about a million events pending past
-// the wheel's 256 ms horizon, so every event is a heap push and pop on a
-// deep heap. The events/sec metric is the headline number tracked across
-// kernel changes (see CHANGES.md for the recorded history).
+// model produces. Each actor's handler is built once, so the rungs measure
+// the kernel and not the allocator (-benchmem reads 0 allocs per event).
+// The "schedule" variant uses the handle-returning API; the "afterfunc"
+// variant uses the fire-and-forget fast path with short millisecond
+// delays on a shallow heap; "afterfunc-far" keeps about a million events
+// pending, so every event is a push and a pop on a deep heap. The
+// events/sec metric is the headline number tracked across kernel changes
+// (see CHANGES.md for the recorded history).
 func BenchmarkKernelThroughput(b *testing.B) {
 	bench := func(b *testing.B, k *sim.Kernel, actors int, base sim.Time, schedule func(k *sim.Kernel, delay sim.Time, fn sim.Handler)) {
-		var step func(id int) sim.Handler
-		step = func(id int) sim.Handler {
-			return func(now sim.Time) {
-				delay := base + sim.Time(id%7+1)*sim.Time(time.Millisecond)
-				schedule(k, delay, step(id))
-			}
+		handlers := make([]sim.Handler, actors)
+		for id := range handlers {
+			delay := base + sim.Time(id%7+1)*sim.Time(time.Millisecond)
+			handlers[id] = func(sim.Time) { schedule(k, delay, handlers[id]) }
 		}
-		for i := 0; i < actors; i++ {
-			schedule(k, base+sim.Time(i)*sim.Time(time.Microsecond), step(i))
+		for i, h := range handlers {
+			schedule(k, base+sim.Time(i)*sim.Time(time.Microsecond), h)
 		}
 		k.SetMaxEvents(uint64(b.N))
 		b.ResetTimer()
@@ -59,9 +57,6 @@ func BenchmarkKernelThroughput(b *testing.B) {
 	})
 	b.Run("afterfunc", func(b *testing.B) {
 		bench(b, sim.New(42), 256, 0, afterFunc)
-	})
-	b.Run("afterfunc-nowheel", func(b *testing.B) {
-		bench(b, sim.New(42, sim.WithoutTimingWheel()), 256, 0, afterFunc)
 	})
 	b.Run("afterfunc-far", func(b *testing.B) {
 		bench(b, sim.New(42), 1<<20, 300*sim.Time(time.Millisecond), afterFunc)

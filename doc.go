@@ -5,12 +5,13 @@
 // Systems" (Iosup et al., ICDCS 2018).
 //
 // The toolkit provides a high-throughput deterministic discrete-event
-// simulation kernel (internal/sim) whose hot path layers four mechanisms —
-// a pooled fire-and-forget event class, an O(1) immediate ring for
-// zero-delay events, a timing wheel for the dense short-delay mix (proven
-// byte-identical to the heap path by a differential fuzz harness), and
-// one zero-allocation stream admission path for every pre-drawn timeline,
-// all merged with a hand-rolled binary heap — a pluggable scenario registry
+// simulation kernel (internal/sim) whose hot path merges four sources —
+// a 4-ary heap of pointer-free keys over a recycled slot slab (the
+// internal/keyheap heap that banking's EDF queues share), an O(1)
+// immediate ring for zero-delay events, one zero-allocation stream
+// admission path for every pre-drawn timeline, and tickers that re-arm
+// themselves — all proven to fire in the order of a naive sorted-slice
+// kernel by a differential fuzz harness — a pluggable scenario registry
 // (internal/scenario) that unifies every workload domain behind one
 // interface and one runner, and, on top of them, every substrate the
 // paper's programme requires: workload and trace models, a datacenter

@@ -34,8 +34,8 @@ import (
 // transaction in flight is its int32 index into txs, a station's server
 // slot records which transaction it serves, and every completion fires
 // through its slot's handler, built once per run. Per-stage queues are a
-// FIFO ring (FCFS) or a 4-ary min-heap of 16-byte entries (EDF — see
-// queues.go for the tie-break argument), and arrivals are admitted as one
+// FIFO ring (FCFS) or the kernel's key heap with 16-byte entries (EDF —
+// see queues.go for the tie-break argument), and arrivals are admitted as one
 // sorted kernel stream. Beside the column, a run allocates the arrival
 // times the stream reads, the latency sample, and its queues; a steady-
 // state event — service completion, queue pull, next-stage hand-off —

@@ -16,22 +16,14 @@ import "time"
 // counter fields are written by internal/sim; the heartbeat fields are
 // configuration read by the kernel.
 type KernelStats struct {
-	// Per-path dispatch counts: which queue the kernel's four-way merge
-	// drew each fired event from.
+	// Per-path dispatch counts: which source the kernel's merge drew each
+	// fired event from. Ticker ticks count as heap dispatches.
 	HeapDispatched      uint64
-	WheelDispatched     uint64
 	ImmediateDispatched uint64
 	StreamDispatched    uint64
-	// Canceled counts Cancel calls that actually canceled a live event.
+	// Canceled counts Cancel calls that actually canceled a live event, and
+	// Stop calls on armed tickers.
 	Canceled uint64
-	// WheelRotations counts bucket primes — how many times the timing
-	// wheel sorted a bucket and rotated it to the front of the merge.
-	WheelRotations uint64
-	// HorizonOverflow counts fire-and-forget events that missed the wheel
-	// because they lay past its horizon and fell through to the heap (the
-	// hierarchy's overflow level). A high ratio of overflows to wheel
-	// dispatches says the wheel span is mis-tuned for the model.
-	HorizonOverflow uint64
 
 	// HeartbeatEvery, when positive, makes the kernel invoke OnHeartbeat
 	// after every HeartbeatEvery-th processed event. The callback runs on
@@ -47,6 +39,10 @@ type KernelStats struct {
 // KernelSnapshot is the JSON form of the counters — the Result envelope's
 // optional `telemetry` block. It is a value copy, safe to marshal after
 // the run while the kernel is idle.
+//
+// WheelDispatched, WheelRotations and HorizonOverflow counted the timing
+// wheel the kernel no longer has; they are always 0 and stay in the
+// snapshot only because the benchmark harness still reads them.
 type KernelSnapshot struct {
 	HeapDispatched      uint64 `json:"heapDispatched"`
 	WheelDispatched     uint64 `json:"wheelDispatched"`
@@ -62,16 +58,13 @@ type KernelSnapshot struct {
 func (s *KernelStats) Snapshot() KernelSnapshot {
 	return KernelSnapshot{
 		HeapDispatched:      s.HeapDispatched,
-		WheelDispatched:     s.WheelDispatched,
 		ImmediateDispatched: s.ImmediateDispatched,
 		StreamDispatched:    s.StreamDispatched,
 		Canceled:            s.Canceled,
-		WheelRotations:      s.WheelRotations,
-		HorizonOverflow:     s.HorizonOverflow,
 	}
 }
 
-// Dispatched returns the total events dispatched across all four paths.
+// Dispatched returns the total events dispatched across all paths.
 func (s KernelSnapshot) Dispatched() uint64 {
-	return s.HeapDispatched + s.WheelDispatched + s.ImmediateDispatched + s.StreamDispatched
+	return s.HeapDispatched + s.ImmediateDispatched + s.StreamDispatched
 }

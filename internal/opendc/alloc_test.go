@@ -32,7 +32,7 @@ func TestCellAllocationsPerTask(t *testing.T) {
 	if err := json.Unmarshal([]byte(cellDoc), &cfg); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := Build(cfg)
+	sc, _, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func TestExampleScenarioBuildsAndRuns(t *testing.T) {
 	}
 	cfg.Workload.Jobs = 40 // shrink for test time
 	cfg.HorizonSeconds = 7200
-	sc, err := Build(cfg)
+	sc, _, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestExampleScenarioBuildsAndRuns(t *testing.T) {
 }
 
 func TestBuildDefaults(t *testing.T) {
-	sc, err := Build(ScenarioJSON{})
+	sc, _, err := Build(ScenarioJSON{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestBuildPolicyMatrix(t *testing.T) {
 				cfg.Scheduler.Queue = q
 				cfg.Scheduler.Placement = p
 				cfg.Scheduler.Mode = m
-				if _, err := Build(cfg); err != nil {
+				if _, _, err := Build(cfg); err != nil {
 					t.Errorf("%s/%s/%s: %v", q, p, m, err)
 				}
 			}
@@ -69,7 +69,7 @@ func TestBuildPolicyMatrix(t *testing.T) {
 func TestBuildMachineClasses(t *testing.T) {
 	for _, class := range []string{"commodity", "bignode", "oldgen", "gpu"} {
 		cfg := ScenarioJSON{Class: class}
-		if _, err := Build(cfg); err != nil {
+		if _, _, err := Build(cfg); err != nil {
 			t.Errorf("class %s: %v", class, err)
 		}
 	}
@@ -98,7 +98,7 @@ func TestBuildRejectsUnknowns(t *testing.T) {
 	c.Workload.Trace = "/does/not/exist"
 	bad = append(bad, c)
 	for i, cfg := range bad {
-		if _, err := Build(cfg); err == nil {
+		if _, _, err := Build(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
@@ -109,7 +109,7 @@ func TestFailureModelSelection(t *testing.T) {
 	// distribution plus a rack bias the correlated one.
 	cfg := ScenarioJSON{}
 	cfg.Failures = &scenario.FailuresJSON{MTBF: &scenario.DistJSON{Mean: 3600}}
-	sc, err := Build(cfg)
+	sc, _, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestFailureModelSelection(t *testing.T) {
 	bias := 0.8
 	cfg.Failures.GroupSize = &scenario.DistJSON{Dist: "normal", Mean: 8, Sigma: 4}
 	cfg.Failures.RackBias = &bias
-	sc2, err := Build(cfg)
+	sc2, _, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,29 +55,30 @@ const ExampleJSON = `{
 
 // Build converts the JSON schema into a runnable scenario. A failures
 // section in the document header becomes a document-seeded FailureSource
-// (the kernel's random stream stays untouched).
-func Build(cfg ScenarioJSON) (*Scenario, error) {
+// (the kernel's random stream stays untouched); Build returns that
+// section's overlay too, nil without one, for the run's failure metrics.
+func Build(cfg ScenarioJSON) (*Scenario, *scenario.FailureOverlay, error) {
 	if cfg.Machines <= 0 {
 		cfg.Machines = 16
 	}
 	class, err := ClassByName(cfg.Class)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cluster := dcmodel.NewHomogeneous("mcsim", cfg.Machines, class, cfg.RackSize)
 
 	src, err := WorkloadSource(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	w, err := src.Load()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	schedCfg, err := SchedulerByNames(cfg.Scheduler.Queue, cfg.Scheduler.Placement, cfg.Scheduler.Mode)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	sc := &Scenario{
@@ -89,12 +90,12 @@ func Build(cfg ScenarioJSON) (*Scenario, error) {
 	}
 	overlay, err := cfg.FailureOverlay()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if overlay != nil {
 		sc.FailureSource = overlay.Source()
 	}
-	return sc, nil
+	return sc, overlay, nil
 }
 
 // WorkloadSource maps the document's workload block to a workload source:
@@ -208,11 +209,7 @@ func (d *datacenterScenario) Configure(raw json.RawMessage) error {
 	if err := cfg.RejectParallel("datacenter"); err != nil {
 		return err
 	}
-	sc, err := Build(cfg)
-	if err != nil {
-		return err
-	}
-	overlay, err := cfg.FailureOverlay()
+	sc, overlay, err := Build(cfg)
 	if err != nil {
 		return err
 	}

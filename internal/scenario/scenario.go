@@ -77,7 +77,7 @@ type Result struct {
 	// "sweep" kind) in deterministic grid order; nil for ordinary runs.
 	Cells []*Result `json:"cells,omitempty"`
 	// Telemetry is the optional kernel-counter block (per-path dispatch
-	// counts, cancels, wheel rotations, horizon overflows). It is attached
+	// counts and cancels; see obs.KernelSnapshot). It is attached
 	// only on request — `mcsim -telemetry` — and omitted otherwise, so
 	// existing result bytes are untouched by default. The counters are
 	// derived from the same deterministic event stream as the run, so the

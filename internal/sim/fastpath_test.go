@@ -92,7 +92,7 @@ func TestEventPoolRecycles(t *testing.T) {
 		n++
 		if n < 10000 {
 			if n%2 == 0 {
-				k.AfterFunc(time.Second, step) // past the wheel horizon: heap
+				k.AfterFunc(time.Second, step)
 			} else {
 				k.MustSchedule(time.Millisecond, step)
 			}

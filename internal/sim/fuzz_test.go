@@ -5,14 +5,14 @@ package sim
 // byte-identical to its predecessor under every schedule). A byte program
 // decodes into a deterministic schedule of Schedule/AfterFunc/ScheduleStream/
 // NewTicker/Cancel/Stop/step/RunUntil operations — including zero delays,
-// same-instant collisions, nested in-handler scheduling, delays straddling
-// the wheel horizon, cancels through stale handles whose slot holds a new
-// event, tickers stopped from inside and outside their handlers, and
-// malformed (unsorted or past) streams that must be rejected whole — and
-// replays it through the timing-wheel kernel, the heap-only
-// kernel, and the naive sorted-slice reference (reference_test.go). Any
-// difference in firing order, firing times, stream rejections, final clock,
-// or pending count is a bug.
+// same-instant collisions, nested in-handler scheduling, delays from
+// microseconds to past a quarter second, cancels through stale handles
+// whose slot holds a new event, tickers stopped from inside and outside
+// their handlers, and malformed (unsorted or past) streams that must be
+// rejected whole — and replays it through the kernel and the naive
+// sorted-slice reference (reference_test.go). Any difference in firing
+// order, firing times, stream rejections, final clock, or pending count is
+// a bug.
 
 import (
 	"fmt"
@@ -95,9 +95,9 @@ type replayResult struct {
 	pending               int
 }
 
-// progDelay maps a program byte to a delay covering every routing regime:
-// zero (immediate ring), sub-tick and multi-tick (wheel), near the wheel
-// horizon, and past it (heap overflow).
+// progDelay maps a program byte to a delay: zero (immediate ring), or a
+// heap delay on one of three scales, sub-millisecond to ~1 s, whose ranges
+// overlap so that events from different scales collide.
 func progDelay(b byte) Time {
 	switch b % 4 {
 	case 0:
@@ -105,9 +105,9 @@ func progDelay(b byte) Time {
 	case 1:
 		return Time(b) * 37 * Time(time.Microsecond) // 0 .. ~9.4ms
 	case 2:
-		return Time(b) * 997 * Time(time.Microsecond) // 0 .. ~254ms, horizon edge
+		return Time(b) * 997 * Time(time.Microsecond) // 0 .. ~254ms
 	default:
-		return 250*Time(time.Millisecond) + Time(b)*3*Time(time.Millisecond) // past the horizon
+		return 250*Time(time.Millisecond) + Time(b)*3*Time(time.Millisecond) // 250ms .. ~1s
 	}
 }
 
@@ -259,7 +259,7 @@ func replay(d kernelDriver, data []byte) replayResult {
 			d.RunUntil(d.Now() + progDelay(arg))
 		case 7:
 			// Far-future stream with an exact same-instant collision, plus a
-			// short event: exercises the wheel↔heap horizon handoff.
+			// shorter event that may land between now and the stream.
 			at := d.Now() + 257*Time(time.Millisecond)
 			r.stream([]Time{at, at})
 			d.AfterFunc(progDelay(arg), r.handler(r.newID()))
@@ -303,22 +303,6 @@ func replay(d kernelDriver, data []byte) replayResult {
 	}
 }
 
-// kernelVariants returns the kernel configurations under differential test.
-// Fresh kernels every call; the seed is irrelevant (replay draws no
-// randomness from the kernel).
-func kernelVariants() []struct {
-	name string
-	k    *Kernel
-} {
-	return []struct {
-		name string
-		k    *Kernel
-	}{
-		{"wheel", New(1)},
-		{"heap-only", New(1, WithoutTimingWheel())},
-	}
-}
-
 func diffResults(want, got replayResult) error {
 	if len(want.trace) != len(got.trace) {
 		return fmt.Errorf("fired %d events, reference fired %d", len(got.trace), len(want.trace))
@@ -341,15 +325,14 @@ func diffResults(want, got replayResult) error {
 	return nil
 }
 
-// runDifferential replays one program through the reference and every kernel
-// variant, reports the first divergence, and returns the reference result.
+// runDifferential replays one program through the reference and a fresh
+// kernel (the seed is irrelevant: replay draws no randomness from it),
+// reports the first divergence, and returns the reference result.
 func runDifferential(t *testing.T, data []byte) replayResult {
 	t.Helper()
 	want := replay(refDriver{&refKernel{}}, data)
-	for _, v := range kernelVariants() {
-		if err := diffResults(want, replay(realDriver{v.k}, data)); err != nil {
-			t.Errorf("%s: %v", v.name, err)
-		}
+	if err := diffResults(want, replay(realDriver{New(1)}, data)); err != nil {
+		t.Error(err)
 	}
 	return want
 }

@@ -7,22 +7,20 @@
 // Determinism is an MCS methodological requirement (paper §5.3, C15–C16:
 // reproducible simulation-based experimentation).
 //
-// Every scheduled event lives in one of five sources, and step merges them
+// Every scheduled event lives in one of four sources, and step merges them
 // strictly by (time, sequence number), so the firing order never depends on
 // which source an event landed in:
 //
-//   - the heap: a 4-ary min-heap of pointer-free (at, seq, slot) entries
-//     over a slab of recycled slots holding the handlers. Schedule,
-//     ScheduleAt and MustSchedule return a value handle (slot, generation)
-//     into the slab; a slot is reused once its event fired or its canceled
-//     entry left the heap, and the generation makes a stale handle's Cancel
-//     a no-op. Sifting moves keys only, so the heap costs the garbage
-//     collector nothing.
+//   - the heap: a keyheap.Heap of pointer-free (at, seq, slot) entries over
+//     a slab of recycled slots holding the handlers. Schedule, ScheduleAt,
+//     MustSchedule and AfterFunc with a positive delay land here. Schedule
+//     and friends return a value handle (slot, generation) into the slab; a
+//     slot is reused once its event fired or its canceled entry left the
+//     heap, and the generation makes a stale handle's Cancel a no-op.
+//     Sifting moves keys only, so the heap costs the garbage collector
+//     nothing.
 //   - the immediate ring: AfterFunc with zero delay (the "run next, at this
 //     instant" pattern that dominates reactive models) is an O(1) append.
-//   - the timing wheel (wheel.go): AfterFunc with a short positive delay
-//     goes into per-tick buckets, with the heap as the overflow level for
-//     far-future events. WithoutTimingWheel disables it.
 //   - streams (stream.go): ScheduleStream admits a pre-drawn, time-sorted
 //     timeline (workload arrivals, failure traces) read from the caller's
 //     own column, one shared handler, zero allocation per item.
@@ -34,10 +32,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"time"
 
+	"mcs/internal/keyheap"
 	"mcs/internal/obs"
 )
 
@@ -83,14 +81,6 @@ type immEvent struct {
 	fn  Handler
 }
 
-// heapEntry is one heap event: its ordering key inline and the slab slot
-// that holds its handler. It holds no pointer.
-type heapEntry struct {
-	at   Time
-	seq  uint64
-	slot uint32
-}
-
 // slabSlot holds a heap event's handler. fn is nil once the event is
 // canceled; gen advances each time the event fires or is canceled, which
 // makes every handle to it stale; next links free slots (index + 1).
@@ -103,8 +93,10 @@ type slabSlot struct {
 // Kernel is a discrete-event simulation executor. The zero value is not
 // usable; construct one with New.
 type Kernel struct {
-	now  Time
-	heap []heapEntry
+	now Time
+	// heap orders the heap events by (time, sequence number); each entry's
+	// payload is the slab slot that holds its handler.
+	heap keyheap.Heap[uint32]
 	slab []slabSlot
 	free uint32 // head of the free slot list (index + 1; 0 when empty)
 	// imm is the immediate ring: zero-delay AfterFunc events awaiting
@@ -113,16 +105,16 @@ type Kernel struct {
 	// the implicit "at == now" representation sound.
 	imm     []immEvent
 	immHead int
-	// wheel is the timing-wheel front-end for short-delay fire-and-forget
-	// events (see wheel.go); nil when disabled via WithoutTimingWheel.
-	wheel *timingWheel
 	// streams holds the live sorted arrival streams (see stream.go);
 	// exhausted streams are dropped as their last item fires.
 	streams []*eventStream
 	// tickers holds the running tickers (see process.go).
-	tickers   []*Ticker
-	seq       uint64
+	tickers []*Ticker
+	seq     uint64
+	// rng is built from seed on the first Rand call, so a model that
+	// draws nothing from the kernel pays for no random source.
 	rng       *rand.Rand
+	seed      int64
 	processed uint64
 	maxEvents uint64 // the event budget; EventBudget unless a test sets it
 	err       error  // the budget stop, once Run or RunUntil hits one
@@ -141,32 +133,19 @@ type Kernel struct {
 type Option func(*Kernel)
 
 // WithKernelStats attaches a telemetry accumulator: the kernel counts
-// per-path dispatches, cancels, wheel rotations, and horizon overflows
-// into st as it runs, and fires st.OnHeartbeat every st.HeartbeatEvery
-// processed events. Observability is strictly read-only: an observed
+// per-path dispatches and cancels into st as it runs, and fires
+// st.OnHeartbeat every st.HeartbeatEvery processed events. Observability is strictly read-only: an observed
 // kernel fires the same events in the same order with the same RNG stream
 // as an unobserved one (TestKernelStatsDoNotPerturbExecution).
 func WithKernelStats(st *obs.KernelStats) Option {
 	return func(k *Kernel) { k.stats = st }
 }
 
-// WithoutTimingWheel disables the timing wheel: every positive-delay event
-// goes to the heap. Firing order is identical either way (that is the
-// wheel's correctness contract, enforced by the differential fuzz harness);
-// the option exists for differential testing and as an escape hatch.
-func WithoutTimingWheel() Option {
-	return func(k *Kernel) { k.wheel = nil }
-}
-
 // New returns a kernel whose random source is seeded with seed. The same seed
 // yields the same random stream and, therefore, the same simulation outcome
 // for deterministic models.
 func New(seed int64, opts ...Option) *Kernel {
-	k := &Kernel{
-		rng:       rand.New(rand.NewSource(seed)),
-		wheel:     &timingWheel{curTick: -1},
-		maxEvents: EventBudget,
-	}
+	k := &Kernel{seed: seed, maxEvents: EventBudget}
 	for _, opt := range opts {
 		opt(k)
 	}
@@ -177,21 +156,28 @@ func New(seed int64, opts ...Option) *Kernel {
 func (k *Kernel) Now() Time { return k.now }
 
 // Rand returns the kernel's deterministic random source. Models must draw all
-// randomness from this source to preserve reproducibility.
-func (k *Kernel) Rand() *rand.Rand { return k.rng }
+// randomness from this source to preserve reproducibility. The source is
+// seeded on the first call, so its stream does not depend on when that
+// call comes.
+func (k *Kernel) Rand() *rand.Rand {
+	if k.rng == nil {
+		k.seedRand()
+	}
+	return k.rng
+}
+
+// seedRand builds the random source; kept out of Rand so Rand inlines.
+func (k *Kernel) seedRand() { k.rng = rand.New(rand.NewSource(k.seed)) }
 
 // Processed returns the number of events executed so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
 
 // Pending returns the number of live events currently scheduled across the
-// heap, the immediate ring, the timing wheel, admitted streams and running
-// tickers. Canceled events awaiting lazy removal from the heap are not
-// counted, nor is a ticker while its own handler runs.
+// heap, the immediate ring, admitted streams and running tickers. Canceled
+// events awaiting lazy removal from the heap are not counted, nor is a
+// ticker while its own handler runs.
 func (k *Kernel) Pending() int {
-	n := len(k.heap) - k.canceledQueued + len(k.imm) - k.immHead
-	if k.wheel != nil {
-		n += k.wheel.count
-	}
+	n := k.heap.Len() - k.canceledQueued + len(k.imm) - k.immHead
 	for _, s := range k.streams {
 		n += s.n - s.head
 	}
@@ -245,11 +231,10 @@ func (k *Kernel) MustSchedule(delay Time, fn Handler) Event {
 // AfterFunc arranges for fn to run after delay, without returning a handle.
 // It is the fire-and-forget fast path: a zero delay (run at this very
 // instant, after everything already scheduled for it) skips the priority
-// queue for an O(1) ring append, and a short positive delay lands in the
-// timing wheel's per-tick buckets instead of the heap. Use it for the bulk
-// of model events — completions, hand-offs, scheduler passes — and reserve
-// Schedule for events that may need Cancel. AfterFunc panics on a negative
-// delay.
+// queue for an O(1) ring append, and a positive delay goes to the heap.
+// Use it for the bulk of model events — completions, hand-offs, scheduler
+// passes — and reserve Schedule for events that may need Cancel. AfterFunc
+// panics on a negative delay.
 func (k *Kernel) AfterFunc(delay Time, fn Handler) {
 	if delay < 0 {
 		panic(fmt.Errorf("%w: delay=%v now=%v", ErrPastEvent, delay, k.now))
@@ -259,11 +244,7 @@ func (k *Kernel) AfterFunc(delay Time, fn Handler) {
 		k.imm = append(k.imm, immEvent{seq: k.seq, fn: fn})
 		return
 	}
-	at := k.now + delay
-	if k.wheelAdd(at, fn) {
-		return
-	}
-	k.heapAdd(at, fn)
+	k.heapAdd(k.now+delay, fn)
 }
 
 // heapAdd stamps fn with the next sequence number, files it in a slab slot
@@ -280,7 +261,7 @@ func (k *Kernel) heapAdd(at Time, fn Handler) uint32 {
 		k.slab = append(k.slab, slabSlot{fn: fn, gen: 1})
 	}
 	k.seq++
-	k.heapPush(heapEntry{at: at, seq: k.seq, slot: slot})
+	k.heap.Push(int64(at), k.seq, slot)
 	return slot
 }
 
@@ -316,7 +297,6 @@ const (
 	srcNone = iota
 	srcImm
 	srcHeap
-	srcWheel
 	srcStream
 	srcTicker
 )
@@ -332,14 +312,13 @@ const (
 const maxTime = Time(math.MaxInt64)
 
 // step fires the next event due by horizon, advancing the clock to its
-// time. The next event is the least (time, sequence) across the five
+// time. The next event is the least (time, sequence) across the four
 // sources: the immediate ring (due at the current instant), the heap, the
-// timing wheel, the admitted stream heads and the running tickers. The
-// strict merge is what makes the wheel, the streams and the tickers
-// observationally invisible: firing order never depends on which source an
-// event landed in. step declines, firing nothing, when no event is due by
-// horizon, or when one is but the event budget is spent; that second case
-// is recorded for Err.
+// admitted stream heads and the running tickers. The strict merge is what
+// makes the streams and the tickers observationally invisible: firing
+// order never depends on which source an event landed in. step declines,
+// firing nothing, when no event is due by horizon, or when one is but the
+// event budget is spent; that second case is recorded for Err.
 func (k *Kernel) step(horizon Time) int {
 	// The best candidate so far starts as a sentinel every event due by
 	// horizon beats.
@@ -349,31 +328,17 @@ func (k *Kernel) step(horizon Time) int {
 	}
 	// Drop canceled entries from the heap top so the merge compares live
 	// candidates only.
-	for k.canceledQueued > 0 && len(k.heap) > 0 && k.slab[k.heap[0].slot].fn == nil {
+	for k.canceledQueued > 0 && k.heap.Len() > 0 {
+		if _, _, slot := k.heap.Top(); k.slab[slot].fn != nil {
+			break
+		}
 		k.canceledQueued--
-		k.release(k.heapPop().slot)
+		_, _, slot := k.heap.Pop()
+		k.release(slot)
 	}
-	if len(k.heap) > 0 {
-		if e := &k.heap[0]; before(e.at, e.seq, at, seq) {
-			src, at, seq = srcHeap, e.at, e.seq
-		}
-	}
-	if w := k.wheel; w != nil && w.count > 0 {
-		var wev *wheelEvent
-		if w.curTick >= 0 {
-			wev = &w.buckets[w.curTick&wheelMask][w.curHead]
-		} else if t := w.scan(k.now); Time(t)*wheelTick <= at {
-			// Only sort the bucket when it can actually win the merge: if
-			// the best candidate so far fires before the bucket's start,
-			// the wheel is out of the race this step.
-			w.prime(t)
-			if k.stats != nil {
-				k.stats.WheelRotations++
-			}
-			wev = &w.buckets[t&wheelMask][0]
-		}
-		if wev != nil && before(wev.at, wev.seq, at, seq) {
-			src, at, seq = srcWheel, wev.at, wev.seq
+	if k.heap.Len() > 0 {
+		if hat, hseq, _ := k.heap.Top(); before(Time(hat), hseq, at, seq) {
+			src, at, seq = srcHeap, Time(hat), hseq
 		}
 	}
 	var str *eventStream
@@ -410,13 +375,9 @@ func (k *Kernel) step(horizon Time) int {
 		}
 		fn(k.now)
 	case srcHeap:
-		slot := k.heapPop().slot
+		_, _, slot := k.heap.Pop()
 		fn := k.slab[slot].fn
 		k.release(slot)
-		k.now = at
-		fn(at)
-	case srcWheel:
-		fn := k.wheel.pop()
 		k.now = at
 		fn(at)
 	case srcStream:
@@ -442,8 +403,6 @@ func (k *Kernel) noteDispatch(st *obs.KernelStats, src int) {
 		st.ImmediateDispatched++
 	case srcHeap, srcTicker:
 		st.HeapDispatched++
-	case srcWheel:
-		st.WheelDispatched++
 	case srcStream:
 		st.StreamDispatched++
 	}
@@ -479,73 +438,8 @@ func (k *Kernel) RunUntil(horizon Time) uint64 {
 	return k.processed - start
 }
 
-// heapPush and heapPop keep k.heap a 4-ary min-heap ordered by (time,
-// sequence number), which makes simultaneous events fire in FIFO order.
-// The sifts move a hole rather than swapping, and the entries carry their
-// keys inline, so a comparison reads no pointer and a move writes none.
-func (k *Kernel) heapPush(e heapEntry) {
-	h := append(k.heap, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if earlier(&e, &h[p]) == 0 {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = e
-	k.heap = h
-}
-
-func (k *Kernel) heapPop() heapEntry {
-	h := k.heap
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h = h[:n]
-	k.heap = h
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
-		c := 4*i + 1
-		var m int
-		if c+3 < n {
-			// A full family: a branch-free tournament over the four.
-			a := c + earlier(&h[c+1], &h[c])
-			b := c + 2 + earlier(&h[c+3], &h[c+2])
-			m = a + (b-a)*earlier(&h[b], &h[a])
-		} else if c < n {
-			m = c
-			for j := c + 1; j < n; j++ {
-				m += (j - m) * earlier(&h[j], &h[m])
-			}
-		} else {
-			break
-		}
-		if earlier(&last, &h[m]) == 1 {
-			break
-		}
-		h[i] = h[m]
-		i = m
-	}
-	h[i] = last
-	return top
-}
-
 // before reports whether the event keyed (at, seq) fires before the one
 // keyed (bestAt, bestSeq).
 func before(at Time, seq uint64, bestAt Time, bestSeq uint64) bool {
 	return at < bestAt || (at == bestAt && seq < bestSeq)
-}
-
-// earlier is 1 when a fires before b, by (time, sequence number), and 0
-// otherwise. It subtracts the 128-bit keys and reads the borrow, so it
-// compiles without a branch; times are never negative.
-func earlier(a, b *heapEntry) int {
-	_, borrow := bits.Sub64(a.seq, b.seq, 0)
-	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
-	return int(borrow)
 }

@@ -316,23 +316,23 @@ func TestScheduleNegativeDelayRejected(t *testing.T) {
 	}
 }
 
-// --- timing-wheel surface -------------------------------------------------
+// --- heap ordering ---------------------------------------------------------
 
-// TestWheelHeapHorizonHandoff mixes wheel-window delays, past-horizon
-// delays, and handle-bearing events: whatever queue each lands in, the
+// TestHeapOrdersMixedDelays mixes short and long fire-and-forget delays,
+// handle-bearing events, and an event scheduled from inside a handler: the
 // firing order must be globally (time, seq).
-func TestWheelHeapHorizonHandoff(t *testing.T) {
+func TestHeapOrdersMixedDelays(t *testing.T) {
 	k := New(1)
 	var got []Time
 	record := func(now Time) { got = append(got, now) }
-	k.AfterFunc(500*time.Millisecond, record)          // past the 256ms horizon: heap
-	k.AfterFunc(5*time.Millisecond, record)            // wheel
-	k.MustSchedule(3*time.Millisecond, record)         // handle-bearing: heap
-	k.AfterFunc(300*time.Millisecond, func(now Time) { // heap, reschedules into the wheel
+	k.AfterFunc(500*time.Millisecond, record)
+	k.AfterFunc(5*time.Millisecond, record)
+	k.MustSchedule(3*time.Millisecond, record) // handle-bearing
+	k.AfterFunc(300*time.Millisecond, func(now Time) {
 		record(now)
 		k.AfterFunc(2*time.Millisecond, record)
 	})
-	k.AfterFunc(255*time.Millisecond, record) // just inside the horizon: wheel
+	k.AfterFunc(255*time.Millisecond, record)
 	k.Run()
 	want := []Time{
 		3 * time.Millisecond, 5 * time.Millisecond, 255 * time.Millisecond,
@@ -348,13 +348,13 @@ func TestWheelHeapHorizonHandoff(t *testing.T) {
 	}
 }
 
-// TestRunUntilLandsMidBucket stops the kernel between two events that share
-// a wheel bucket: the horizon must split the bucket exactly.
-func TestRunUntilLandsMidBucket(t *testing.T) {
+// TestRunUntilSplitsSameMillisecond stops the kernel between events a
+// fraction of a millisecond apart: the horizon must split them exactly.
+func TestRunUntilSplitsSameMillisecond(t *testing.T) {
 	k := New(1)
 	var got []Time
 	record := func(now Time) { got = append(got, now) }
-	for _, d := range []Time{1200, 1400, 1800} { // one bucket: tick 1 of 1ms
+	for _, d := range []Time{1200, 1400, 1800} {
 		k.AfterFunc(d*Time(time.Microsecond), record)
 	}
 	if n := k.RunUntil(1500 * time.Microsecond); n != 2 {
@@ -364,10 +364,9 @@ func TestRunUntilLandsMidBucket(t *testing.T) {
 		t.Fatalf("clock at %v, want 1.5ms", k.Now())
 	}
 	if k.Pending() != 1 {
-		t.Fatalf("pending=%d, want the rest of the bucket", k.Pending())
+		t.Fatalf("pending=%d, want the one event past the horizon", k.Pending())
 	}
-	// A fresh event due before the bucket remainder, landing in the
-	// current tick, must still fire first.
+	// A fresh event due before the remaining one must still fire first.
 	k.AfterFunc(100*time.Microsecond, record)
 	k.Run()
 	want := []Time{1200 * time.Microsecond, 1400 * time.Microsecond, 1600 * time.Microsecond, 1800 * time.Microsecond}
@@ -378,15 +377,15 @@ func TestRunUntilLandsMidBucket(t *testing.T) {
 	}
 }
 
-// TestCancelHeapEventRacingBucketEvent pins the Cancel interaction across
-// queues: a canceled handle event due at the same instant as a wheel event
-// must not fire and must not perturb the wheel event.
+// TestCancelHeapEventRacingBucketEvent pins Cancel at a shared instant: a
+// canceled handle event due at the same instant as a fire-and-forget event
+// must not fire and must not perturb the event queued behind it.
 func TestCancelHeapEventRacingBucketEvent(t *testing.T) {
 	k := New(1)
 	var got []int
-	ev := k.MustSchedule(5*time.Millisecond, func(Time) { got = append(got, 0) }) // heap, seq 1
-	k.AfterFunc(5*time.Millisecond, func(Time) { got = append(got, 1) })          // wheel, seq 2
-	k.MustSchedule(5*time.Millisecond, func(Time) { got = append(got, 2) })       // heap, seq 3
+	ev := k.MustSchedule(5*time.Millisecond, func(Time) { got = append(got, 0) }) // seq 1
+	k.AfterFunc(5*time.Millisecond, func(Time) { got = append(got, 1) })          // seq 2
+	k.MustSchedule(5*time.Millisecond, func(Time) { got = append(got, 2) })       // seq 3
 	k.Cancel(ev)
 	k.Run()
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
@@ -397,17 +396,17 @@ func TestCancelHeapEventRacingBucketEvent(t *testing.T) {
 	}
 }
 
-// TestPendingAcrossQueues checks Pending accounting over the heap, the
-// immediate ring, and the wheel at once, including cancellation.
+// TestPendingAcrossQueues checks Pending accounting over the heap and the
+// immediate ring at once, including cancellation.
 func TestPendingAcrossQueues(t *testing.T) {
 	k := New(1)
 	noop := func(Time) {}
 	ev := k.MustSchedule(time.Second, noop) // heap
 	k.MustSchedule(2*time.Second, noop)     // heap
 	k.AfterFunc(0, noop)                    // immediate ring
-	k.AfterFunc(5*time.Millisecond, noop)   // wheel
-	k.AfterFunc(10*time.Millisecond, noop)  // wheel
-	k.AfterFunc(500*time.Millisecond, noop) // past horizon: heap
+	k.AfterFunc(5*time.Millisecond, noop)   // heap
+	k.AfterFunc(10*time.Millisecond, noop)  // heap
+	k.AfterFunc(500*time.Millisecond, noop) // heap
 	if k.Pending() != 6 {
 		t.Fatalf("pending=%d, want 6", k.Pending())
 	}
@@ -455,26 +454,6 @@ func TestPendingSkipsCanceledHeapEvents(t *testing.T) {
 	}
 }
 
-// TestWithoutTimingWheel sanity-checks the heap-only configuration (the
-// differential harness compares it exhaustively against the wheel).
-func TestWithoutTimingWheel(t *testing.T) {
-	k := New(1, WithoutTimingWheel())
-	var got []Time
-	for _, d := range []Time{5, 1, 3} {
-		k.AfterFunc(d*Time(time.Millisecond), func(now Time) { got = append(got, now) })
-	}
-	if k.Pending() != 3 {
-		t.Fatalf("pending=%d, want 3", k.Pending())
-	}
-	k.Run()
-	want := []Time{time.Millisecond, 3 * time.Millisecond, 5 * time.Millisecond}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("firing order %v, want %v", got, want)
-		}
-	}
-}
-
 // TestSteadyStateHandleEventsAllocateNothing: once the heap and the slab
 // have grown to their working size, a handle event scheduled and canceled,
 // a timer reset, and a ticker's tick allocate nothing per event — fired and
@@ -501,5 +480,26 @@ func TestSteadyStateHandleEventsAllocateNothing(t *testing.T) {
 	}
 	if n := k.Processed() - fired; n < 101*20 {
 		t.Errorf("%d events fired while measuring, want at least %d", n, 101*20)
+	}
+}
+
+// TestRandSeededOnFirstDraw: the kernel seeds its random source on the
+// first Rand call, and a first call after events have fired still draws
+// exactly the stream of a fresh source with the kernel's seed.
+func TestRandSeededOnFirstDraw(t *testing.T) {
+	const seed = 42
+	k := New(seed)
+	for i := 1; i <= 5; i++ {
+		k.AfterFunc(Time(i)*time.Millisecond, func(Time) {})
+	}
+	k.MustSchedule(time.Second, func(Time) {})
+	if n := k.Run(); n != 6 {
+		t.Fatalf("ran %d events, want 6", n)
+	}
+	want := rand.New(rand.NewSource(seed))
+	for i := 0; i < 100; i++ {
+		if g, w := k.Rand().Int63(), want.Int63(); g != w {
+			t.Fatalf("draw %d: kernel %d, fresh source %d", i, g, w)
+		}
 	}
 }

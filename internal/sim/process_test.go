@@ -51,7 +51,7 @@ type stopper interface{ Stop() }
 
 // tickerProgram runs a ticker among other events that share its instants:
 // handle events scheduled before it started, and a handle event, a
-// zero-delay AfterFunc and a wheel-bound AfterFunc spawned by each tick,
+// zero-delay AfterFunc and a one-period AfterFunc spawned by each tick,
 // plus a far-future event. stopAt names who stops the ticker at the fifth
 // tick instant: a pre-scheduled event, which fires ahead of the tick
 // ("before"); the tick handler itself ("inside"); or one of the events the
@@ -87,7 +87,7 @@ func tickerProgram(start func(k *Kernel, period Time, fn Handler) stopper, stopA
 			panic(err)
 		}
 		k.AfterFunc(0, shared("imm"))
-		k.AfterFunc(period, func(now Time) { note("wheel", now) })
+		k.AfterFunc(period, func(now Time) { note("later", now) })
 		if stopAt == "inside" && now == stopInstant {
 			tk.Stop()
 		}

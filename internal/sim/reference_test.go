@@ -2,8 +2,7 @@ package sim
 
 // This file provides the differential-testing oracle: a deliberately naive
 // kernel that keeps every event in one sorted slice and fires strictly by
-// (time, sequence). It has no heap, no immediate ring, no timing wheel and
-// no slot slab — nothing to get wrong — so its firing order defines the
+// (time, sequence). It has no heap, no immediate ring and no slot slab — nothing to get wrong — so its firing order defines the
 // semantics the optimized kernel must reproduce byte-for-byte. The fuzz
 // harness (fuzz_test.go) replays random schedules through both and fails on
 // the first divergence.

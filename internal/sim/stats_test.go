@@ -17,8 +17,8 @@ func TestKernelStatsCountDispatchPaths(t *testing.T) {
 	k := New(1, WithKernelStats(st))
 
 	k.AfterFunc(0, func(Time) {})                           // immediate ring
-	k.AfterFunc(5*Time(time.Millisecond), func(Time) {})    // timing wheel
-	k.AfterFunc(10*Time(time.Second), func(Time) {})        // past horizon -> heap
+	k.AfterFunc(5*Time(time.Millisecond), func(Time) {})    // heap
+	k.AfterFunc(10*Time(time.Second), func(Time) {})        // heap
 	k.MustSchedule(1*Time(time.Millisecond), func(Time) {}) // handle-bearing -> heap
 	if err := scheduleTimes(k, []Time{Time(2 * time.Second)}, func(Time) {}); err != nil {
 		t.Fatal(err)
@@ -31,23 +31,14 @@ func TestKernelStatsCountDispatchPaths(t *testing.T) {
 	if snap.ImmediateDispatched != 1 {
 		t.Errorf("immediate = %d, want 1", snap.ImmediateDispatched)
 	}
-	if snap.WheelDispatched != 1 {
-		t.Errorf("wheel = %d, want 1", snap.WheelDispatched)
-	}
-	if snap.HeapDispatched != 2 {
-		t.Errorf("heap = %d, want 2 (overflowed AfterFunc + Schedule handle)", snap.HeapDispatched)
+	if snap.HeapDispatched != 3 {
+		t.Errorf("heap = %d, want 3 (two AfterFunc + Schedule handle)", snap.HeapDispatched)
 	}
 	if snap.StreamDispatched != 1 {
 		t.Errorf("stream = %d, want 1", snap.StreamDispatched)
 	}
 	if snap.Canceled != 1 {
 		t.Errorf("canceled = %d, want 1", snap.Canceled)
-	}
-	if snap.HorizonOverflow != 1 {
-		t.Errorf("horizonOverflow = %d, want 1 (the 10s AfterFunc)", snap.HorizonOverflow)
-	}
-	if snap.WheelRotations == 0 {
-		t.Error("wheel dispatched an event without a recorded rotation")
 	}
 	if got, want := snap.Dispatched(), k.Processed(); got != want {
 		t.Errorf("dispatched sum %d != processed %d", got, want)
@@ -98,7 +89,7 @@ func TestKernelStatsDoNotPerturbExecution(t *testing.T) {
 		k.AfterFunc(2*Time(time.Millisecond), record(1))
 		k.AfterFunc(2*Time(time.Millisecond), record(2))
 		k.MustSchedule(1*Time(time.Millisecond), record(3))
-		k.AfterFunc(500*Time(time.Millisecond), record(4)) // heap overflow
+		k.AfterFunc(500*Time(time.Millisecond), record(4))
 		if err := scheduleTimes(k, []Time{Time(time.Millisecond), Time(time.Second)}, func(Time) {
 			order = append(order, 5)
 		}); err != nil {

@@ -15,8 +15,8 @@ func scheduleTimes(k *Kernel, at []Time, fn Handler) error {
 // proof: the same sorted arrival set admitted as a stream and as the
 // per-item ScheduleAt loop the engines used before streams must fire in the
 // identical order, interleaved identically with reactive events the
-// handlers schedule at runtime (zero-delay immediates, short wheel delays,
-// long heap delays), including same-instant collisions between arrivals
+// handlers schedule at runtime (zero-delay immediates, millisecond delays,
+// second-long delays), including same-instant collisions between arrivals
 // and reactive events.
 func TestScheduleStreamMatchesPerItemScheduleAt(t *testing.T) {
 	type record struct {
@@ -27,13 +27,13 @@ func TestScheduleStreamMatchesPerItemScheduleAt(t *testing.T) {
 	run := func(seed int64, arrivals []Time, useStream bool) []record {
 		var log []record
 		k := New(seed)
-		// Each arrival spawns a reactive chain: an immediate, a wheel-range
-		// delay, and a heap-range delay, some of which land exactly on later
+		// Each arrival spawns a reactive chain: an immediate, a millisecond
+		// delay, and a second-long delay, some of which land exactly on later
 		// arrival instants (duplicates in the arrival slice force ties).
 		react := func(id int) {
 			k.AfterFunc(0, func(now Time) { log = append(log, record{"imm", id, now}) })
 			k.AfterFunc(Time(id%7+1)*Time(time.Millisecond), func(now Time) {
-				log = append(log, record{"wheel", id, now})
+				log = append(log, record{"short", id, now})
 			})
 			k.AfterFunc(Time(id%5+1)*Time(time.Second), func(now Time) {
 				log = append(log, record{"heap", id, now})
