@@ -47,9 +47,9 @@ func run() error {
 
 	fmt.Println("\n— gaming analytics: toxicity detection over implicit ties —")
 	r := rand.New(rand.NewSource(3))
-	truth, reports := gaming.ToxicityGroundTruth(world.Interactions(), 0.05, r)
+	truth, reports := gaming.ToxicityGroundTruth(world.Ties, 0.05, r)
 	for _, threshold := range []float64{0.1, 0.15, 0.25} {
-		det := gaming.DetectToxicity(world.Interactions(), reports, truth, threshold)
+		det := gaming.DetectToxicity(world.Ties, reports, truth, threshold)
 		fmt.Printf("threshold %.2f: flagged %4d, precision %.2f, recall %.2f\n",
 			threshold, len(det.Flagged), det.Precision, det.Recall)
 	}

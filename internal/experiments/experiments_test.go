@@ -133,6 +133,26 @@ func TestF3ClaimEASYBeatsStrict(t *testing.T) {
 	}
 }
 
+// TestF4GamingAnalyticsPinned pins F4's gaming-analytics rows at quick
+// scale: the tie count of the world's interaction graph and the toxicity
+// detector's precision and recall. The values are the printed cells, so a
+// change to the graph or to the analysis's random draws shows here.
+func TestF4GamingAnalyticsPinned(t *testing.T) {
+	rep, err := F4GamingEcosystem(Options{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ aspect, metric, want string }{
+		{"social graph", "implicit ties", "140274"},
+		{"toxicity detection", "precision", "0.59"},
+		{"toxicity detection", "recall", "0.51"},
+	} {
+		if got := cell(rep, []string{"gaming analytics", c.aspect, c.metric}, "value"); got != c.want {
+			t.Errorf("F4 gaming analytics %s %s = %q, want %q", c.aspect, c.metric, got, c.want)
+		}
+	}
+}
+
 func TestT2ClaimReactBeatsStaticOnOverProvisioning(t *testing.T) {
 	rep, err := T2Principles(Options{Quick: true})
 	if err != nil {

@@ -276,10 +276,10 @@ func F4GamingEcosystem(opts Options) (*Report, error) {
 		)
 	}
 	r := rand.New(rand.NewSource(opts.seed(44)))
-	truth, reports := gaming.ToxicityGroundTruth(world.Interactions(), 0.05, r)
-	det := gaming.DetectToxicity(world.Interactions(), reports, truth, 0.2)
+	truth, reports := gaming.ToxicityGroundTruth(world.Ties, 0.05, r)
+	det := gaming.DetectToxicity(world.Ties, reports, truth, 0.2)
 	rep.Rows = append(rep.Rows,
-		[]string{"gaming analytics", "social graph", "implicit ties", f("%d", world.Interactions().NumEdges())},
+		[]string{"gaming analytics", "social graph", "implicit ties", f("%d", world.Ties.NumEdges())},
 		[]string{"gaming analytics", "toxicity detection", "precision", f("%.2f", det.Precision)},
 		[]string{"gaming analytics", "toxicity detection", "recall", f("%.2f", det.Recall)},
 	)

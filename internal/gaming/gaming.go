@@ -75,22 +75,10 @@ type WorldResult struct {
 	// ConcurrentSeries tracks concurrent players over time.
 	ConcurrentSeries *stats.TimeSeries
 	ServerSeries     *stats.TimeSeries
-	// Ties is the implicit social graph of co-zone presence in columnar
-	// form (actor id = player id), feeding the Gaming Analytics function.
-	// Use Interactions() for the string-keyed view the analyses consume.
+	// Ties is the implicit social graph of co-zone presence (actor id =
+	// player id), the graph the Gaming Analytics function (toxicity
+	// detection) reads.
 	Ties *social.PairGraph
-
-	interactions *social.InteractionGraph
-}
-
-// Interactions materializes (once) the string-keyed interaction graph from
-// the columnar tie store — the exact graph pre-refactor runs built during
-// the simulation, for the analytics layer (communities, toxicity).
-func (r *WorldResult) Interactions() *social.InteractionGraph {
-	if r.interactions == nil {
-		r.interactions = r.Ties.Materialize(func(id int32) string { return playerName(int(id)) })
-	}
-	return r.interactions
 }
 
 // RunWorld simulates the virtual world and returns its result. A run cut

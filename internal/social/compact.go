@@ -1,24 +1,25 @@
 package social
 
-// Columnar twin of InteractionGraph for million-entity runs. The string-keyed
-// InteractionGraph costs two map inserts and a key allocation per tie, which
-// caps the gaming/social engines far below the north star's "millions of
-// users". PairGraph stores the same undirected weighted graph over int32
-// actor ids: degrees and presence are flat slices indexed by id, and the
-// edge weights live in one open-addressed uint64→float64 table keyed by the
-// packed (lo,hi) id pair — no per-edge allocation once the table has grown
-// to its steady-state size, and no pointers for the GC to trace.
+// The interaction graph of the engines and their analyses. A graph keyed by
+// actor name costs two map inserts and a key allocation per tie, which caps
+// the gaming/social engines far below the north star's "millions of users".
+// PairGraph stores the undirected weighted graph over int32 actor ids:
+// degrees and presence are flat slices indexed by id, and the edge weights
+// live in one open-addressed uint64→float64 table keyed by the packed
+// (lo,hi) id pair — no per-edge allocation once the table has grown to its
+// steady-state size, and no pointers for the GC to trace.
 //
-// The hot engines (gaming co-presence, social co-occurrence) accumulate into
-// a PairGraph during the run; Materialize converts to the string-keyed
-// InteractionGraph only when the analytics layer asks, so existing analyses
-// (and their result bytes) are untouched.
+// The engines (gaming co-presence, social co-occurrence) accumulate into a
+// PairGraph during the run, and the analyses (communities, toxicity) read
+// it by id. Where an analysis orders actors by name, RankByName supplies
+// the order. The package tests keep a string-keyed graph as the reference
+// these results are pinned against.
 
 import "sort"
 
 // PairGraph is an undirected weighted graph over dense int32 actor ids.
 // The zero id is a valid actor. Self edges and non-positive weights are
-// ignored, mirroring InteractionGraph.AddInteraction.
+// ignored (the endpoints are still registered as actors).
 type PairGraph struct {
 	// Open-addressed hash table over packed pairs. keys[i] == 0 means empty:
 	// the only key that packs to 0 is the self pair (0,0), which is never
@@ -26,7 +27,7 @@ type PairGraph struct {
 	keys []uint64
 	vals []float64
 	mask uint64
-	// edges counts distinct stored pairs (== NumEdges of the string graph).
+	// edges counts distinct stored pairs.
 	edges int
 	// degree and present are indexed by actor id; they grow by doubling, so
 	// steady-state adds allocate nothing.
@@ -95,12 +96,12 @@ func (g *PairGraph) ensure(id int32) {
 	g.actors++
 }
 
-// AddActor registers an actor without interactions (InteractionGraph.AddActor).
+// AddActor registers an actor without interactions.
 func (g *PairGraph) AddActor(id int32) { g.ensure(id) }
 
 // AddEdge accumulates weight w on the undirected (a,b) tie. Both endpoints
 // are registered as actors even when the edge itself is dropped (self edge
-// or w ≤ 0) — exactly AddInteraction's contract.
+// or w ≤ 0).
 func (g *PairGraph) AddEdge(a, b int32, w float64) {
 	g.ensure(a)
 	g.ensure(b)
@@ -200,26 +201,8 @@ func (g *PairGraph) ForEachEdge(f func(a, b int32, w float64)) {
 	}
 }
 
-// Materialize converts to the string-keyed InteractionGraph using name to
-// render actor ids, reproducing exactly the graph the engines built before
-// the columnar refactor: every registered actor is present and every tie
-// carries its accumulated weight, so all downstream analytics (communities,
-// toxicity, neighbors) see identical inputs.
-func (g *PairGraph) Materialize(name func(int32) string) *InteractionGraph {
-	out := NewInteractionGraph()
-	for id, ok := range g.present {
-		if ok {
-			out.AddActor(name(int32(id)))
-		}
-	}
-	g.ForEachEdge(func(a, b int32, w float64) {
-		out.AddInteraction(name(a), name(b), w)
-	})
-	return out
-}
-
 // RankByName returns rank[id] = position of name(id) in the lexicographic
-// order of all registered actor names — the order InteractionGraph label
+// order of all registered actor names — the order name-keyed label
 // propagation breaks ties in. Absent ids keep rank 0; they never vote.
 func (g *PairGraph) RankByName(name func(int32) string) []int32 {
 	ids := make([]int32, 0, g.actors)
@@ -252,14 +235,16 @@ func (s *rankSort) Swap(i, j int) {
 	s.names[i], s.names[j] = s.names[j], s.names[i]
 }
 
-// Communities runs the same synchronous weighted label propagation as
-// InteractionGraph.Communities, with rank (from RankByName) standing in for
-// the lexicographic tie-break: labels are actor ids, and a tie in vote
-// weight resolves to the lower-ranked label. For any rank consistent with
-// the name order, the returned labels equal the string version's labels
-// under the id→name mapping — the vote sums are identical (same edges, and
-// the integer-valued weights add exactly in any order) and the (weight desc,
-// rank asc) argmax is order-independent.
+// Communities clusters actors by synchronous weighted label propagation
+// (the community structure behind "strong social relationships (ties)
+// between users", ref [48]). Labels are actor ids; each actor takes the
+// label of the heaviest vote among its neighbors, and a tie in vote weight
+// resolves to the lower-ranked label, with rank (from RankByName) standing
+// in for the lexicographic tie-break of name-keyed propagation. For any
+// rank consistent with the name order, the returned labels equal the
+// name-keyed labels under the id→name mapping — the vote sums are identical
+// (same edges, and the integer-valued weights add exactly in any order) and
+// the (weight desc, rank asc) argmax is order-independent.
 //
 // The returned slice is indexed by actor id; entries for unregistered ids
 // are their own id and carry no meaning.

@@ -45,28 +45,6 @@ func TestPairGraphMatchesInteractionGraph(t *testing.T) {
 	}
 }
 
-func TestPairGraphMaterializeReproducesGraph(t *testing.T) {
-	pg, ig := randomTwinGraphs(23, 40, 800)
-	got := pg.Materialize(pairName)
-	wantActors, gotActors := ig.Actors(), got.Actors()
-	if len(gotActors) != len(wantActors) {
-		t.Fatalf("actors: %d vs %d", len(gotActors), len(wantActors))
-	}
-	for i := range wantActors {
-		if gotActors[i] != wantActors[i] {
-			t.Fatalf("actor[%d]: %q vs %q", i, gotActors[i], wantActors[i])
-		}
-	}
-	if got.NumEdges() != ig.NumEdges() {
-		t.Fatalf("edges: %d vs %d", got.NumEdges(), ig.NumEdges())
-	}
-	for _, a := range wantActors {
-		if got.Degree(a) != ig.Degree(a) {
-			t.Errorf("degree(%s): %v vs %v", a, got.Degree(a), ig.Degree(a))
-		}
-	}
-}
-
 // TestPairGraphCommunitiesMatchStringPropagation pins the rank-based label
 // propagation to the string version: same communities under the id→name
 // bijection — including the lexicographic tie-break, which the integer ids

@@ -132,10 +132,9 @@ func (s *socialScenario) Run(k *sim.Kernel) (*scenario.Result, error) {
 		return nil, err
 	}
 
-	// Rank-based label propagation over the columnar graph: identical
-	// communities to InteractionGraph.Communities on the materialized view
-	// (pinned by TestPairGraphCommunitiesMatchStringPropagation), without
-	// ever building the string-keyed maps.
+	// Rank-based label propagation over the columnar graph: the same
+	// communities as propagation over user names (pinned against the
+	// string-keyed reference by TestPairGraphCommunitiesMatchStringPropagation).
 	rank := g.RankByName(func(id int32) string { return names[id] })
 	labels := g.Communities(s.cfg.CommunityIterations, rank)
 	communitySize := make([]int, len(names))
@@ -184,7 +183,9 @@ func (s *socialScenario) Run(k *sim.Kernel) (*scenario.Result, error) {
 
 // buildPairGraphOn replays every submission as a kernel event, tying each
 // job's user to the users seen within the co-occurrence window — the
-// event-driven twin of FromWorkload (see TestOnlineGraphMatchesFromWorkload).
+// implicit-tie construction of refs [105], [108], with weight 1 per
+// co-occurrence of two distinct users (pinned against a batch reference by
+// TestOnlineGraphMatchesFromWorkload).
 //
 // The hot path is columnar: users are interned to dense int32 ids up front,
 // the co-occurrence window is a chronological ring over two flat columns

@@ -53,18 +53,25 @@ func TestOnlineGraphMatchesFromWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := pg.Materialize(func(id int32) string { return names[id] })
-	if len(got.Actors()) != len(want.Actors()) {
-		t.Fatalf("actors: %d vs %d", len(got.Actors()), len(want.Actors()))
+	if pg.NumActors() != len(want.Actors()) {
+		t.Fatalf("actors: %d vs %d", pg.NumActors(), len(want.Actors()))
 	}
-	if got.NumEdges() != want.NumEdges() {
-		t.Fatalf("edges: %d vs %d", got.NumEdges(), want.NumEdges())
+	if pg.NumEdges() != want.NumEdges() {
+		t.Fatalf("edges: %d vs %d", pg.NumEdges(), want.NumEdges())
 	}
-	for _, a := range want.Actors() {
-		if got.Degree(a) != want.Degree(a) {
-			t.Errorf("degree(%s): %v vs %v", a, got.Degree(a), want.Degree(a))
+	for id, name := range names {
+		if !pg.Present(int32(id)) {
+			t.Errorf("interned user %s is not registered", name)
+		}
+		if got, ref := pg.Degree(int32(id)), want.Degree(name); got != ref {
+			t.Errorf("degree(%s): %v vs %v", name, got, ref)
 		}
 	}
+	pg.ForEachEdge(func(a, b int32, w float64) {
+		if ref := want.TieStrength(names[a], names[b]); w != ref {
+			t.Errorf("tie(%s,%s): %v vs %v", names[a], names[b], w, ref)
+		}
+	})
 }
 
 func TestSocialScenarioRejectsBadConfig(t *testing.T) {
